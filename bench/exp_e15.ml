@@ -4,11 +4,10 @@
    path), so once latency is wire-bound, throughput is decided by how
    many of those round-trips the runtime keeps in flight.  E15 measures
    exactly that: the serial client (one op at a time, the E14 baseline)
-   against the pipelined mux at max_inflight in E15_INFLIGHT, over both
-   server loop modes.
+   against the pipelined mux at max_inflight in E15_INFLIGHT.
 
-   For each (loop mode) cell on a loopback cluster (safe protocol,
-   S=4 t=1 b=0):
+   On one loopback cluster (safe protocol, S=4 t=1 b=0, the poll server
+   group on one worker domain):
 
    1. serial baseline: E15_OPS reads through Cluster.read, wall-clock
       ops/s and p50/p99 latency;
@@ -28,7 +27,6 @@
    One JSON artifact: BENCH_e15.json.  Environment-tunable:
      E15_OPS       (2000)          reads per timing cell
      E15_INFLIGHT  (1,4,16,64)     operation-window sweep
-     E15_LOOPS     (threads,poll)  server loop modes to measure
      E15_TRIALS    (3)             trials per cell; best is reported
      E15_TRANSPORT (tcp)           loopback transport: tcp | unix
      E15_OUT       (BENCH_e15.json) output path *)
@@ -59,9 +57,6 @@ let getenv_list name default parse =
 let inflight_levels () =
   getenv_list "E15_INFLIGHT" [ 1; 4; 16; 64 ] (fun s ->
       match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
-
-let loop_modes () =
-  getenv_list "E15_LOOPS" [ `Threads; `Poll ] Net.Server.loop_of_string
 
 let ok_exn what = function
   | Ok o -> o
@@ -94,7 +89,6 @@ let run () =
   let trials = getenv_int "E15_TRIALS" 3 in
   let out = Option.value (Sys.getenv_opt "E15_OUT") ~default:"BENCH_e15.json" in
   let levels = inflight_levels () in
-  let loops = loop_modes () in
   let transport = transport () in
   let transport_name = match transport with `Tcp -> "tcp" | `Unix -> "unix" in
   let protocol = Net.Protocols.safe in
@@ -108,15 +102,9 @@ let run () =
     (Net.Protocols.name protocol)
     ops trials;
   Exp_common.note
-    "E15: pipelined wire throughput (%d loop modes, %d ops/cell, best of %d, \
-     %s loopback)"
-    (List.length loops) ops trials transport_name;
-  List.iteri
-    (fun li loop ->
-      let loop_name = Net.Server.loop_to_string loop in
-      let cluster =
-        Net.Cluster.start ~transport ~loop ~protocol ~cfg ~readers:1 ()
-      in
+    "E15: pipelined wire throughput (%d ops/cell, best of %d, %s loopback)"
+    ops trials transport_name;
+  (let cluster = Net.Cluster.start ~transport ~protocol ~cfg ~readers:1 () in
       Fun.protect
         ~finally:(fun () -> Net.Cluster.stop cluster)
         (fun () ->
@@ -193,9 +181,9 @@ let run () =
                 failures_total := !failures_total + !failures;
                 let rate = float_of_int ops /. wall in
                 Exp_common.note
-                  "  %-7s trial=%d inflight=%-3d %8.0f ops/s  p50=%.0fus \
+                  "  trial=%d inflight=%-3d %8.0f ops/s  p50=%.0fus \
                    p99=%.0fus  (serial %.0f ops/s)"
-                  loop_name trial inflight rate
+                  trial inflight rate
                   (Stats.Summary.percentile plat 50.)
                   (Stats.Summary.percentile plat 99.)
                   serial_rate;
@@ -226,9 +214,9 @@ let run () =
               sweep
           in
           Printf.bprintf buf
-            "    { \"loop\": \"%s\",\n      \"serial\": { \"ops\": %d, \
-             \"wall_s\": %.4f, \"ops_per_s\": %.1f,\n        "
-            loop_name ops serial_wall serial_rate;
+            "    { \"serial\": { \"ops\": %d, \"wall_s\": %.4f, \
+             \"ops_per_s\": %.1f,\n        "
+            ops serial_wall serial_rate;
           summary_json buf "latency" slat;
           Printf.bprintf buf " },\n      \"pipelined\": [\n";
           List.iteri
@@ -253,10 +241,8 @@ let run () =
                 (r16 /. serial_rate)
           | _ -> ());
           Printf.bprintf buf
-            "      \"matches_serial\": %b,\n      \"violations\": %d }%s\n"
-            matches_serial violations
-            (if li = List.length loops - 1 then "" else ",")))
-    loops;
+            "      \"matches_serial\": %b,\n      \"violations\": %d }\n"
+            matches_serial violations));
   Printf.bprintf buf "  ]\n}\n";
   Obs.Export.write_file ~path:out (Buffer.contents buf);
   Exp_common.note "wrote %s" out

@@ -292,7 +292,7 @@ let run () =
                          Histories.Recorder.respond_read (recorder_for key) h
                            ~time:at_us result)
                end
-           | Net.Client.Keyed.Invoke { op; key; write; at_us; joined = false }
+           | Net.Client.Keyed.Invoke { op; key; write; at_us; joined = false; _ }
              ->
                if sampled key then begin
                  match Hashtbl.find_opt open_ops (key, write) with

@@ -885,16 +885,6 @@ let client_opts_args =
         { Net.Client.deadline; retries; backoff })
     $ deadline_arg $ retries_arg $ backoff_arg)
 
-let loop_arg =
-  Arg.(
-    value
-    & opt (enum [ ("threads", `Threads); ("poll", `Poll) ]) `Threads
-    & info [ "loop" ] ~docv:"MODE"
-        ~doc:
-          "Connection handling: $(b,threads) (default; a thread per \
-           connection) or $(b,poll) (a single event-loop domain — with \
-           'cluster', all S base objects share it).")
-
 let domains_arg =
   Arg.(
     value & opt int 1
@@ -903,7 +893,7 @@ let domains_arg =
           "Worker domains for the poll event-loop group: base object $(i,i) \
            and every connection accepted for it are owned by domain \
            ($(i,i)-1) mod $(docv), so all automaton steps stay domain-local \
-           (clamped to 1..S; only meaningful with $(b,--loop poll)).")
+           (clamped to 1..S).")
 
 let live_artifacts ~metrics ~artifacts ~spans registry =
   match artifacts with
@@ -944,7 +934,7 @@ let serve_cmd =
              $(b,host:port).  TCP port 0 picks an ephemeral port and prints \
              it.")
   in
-  let run protocol t b s index endpoint loop metrics artifacts =
+  let run protocol t b s index endpoint metrics artifacts =
     let cfg = config ~s ~t ~b () in
     if index < 1 || index > cfg.Quorum.Config.s then begin
       Format.eprintf "robustread: --index %d out of range 1..%d@." index
@@ -953,7 +943,9 @@ let serve_cmd =
     end;
     let registry = if metrics then Some (Obs.Metrics.create ()) else None in
     let server =
-      Net.Server.start ?metrics:registry ~loop ~protocol ~cfg ~index endpoint
+      (Net.Server.start_group
+         ?metrics:(Option.map (fun reg _ -> reg) registry)
+         ~indices:[| index |] ~protocol ~cfg [| endpoint |]).(0)
     in
     Format.printf "serving object %d of %a (%s) on %a@." index Quorum.Config.pp
       cfg
@@ -985,7 +977,7 @@ let serve_cmd =
   let term =
     Term.(
       const run $ net_protocol_arg $ t_arg $ b_arg $ s_arg $ index_arg
-      $ endpoint_arg $ loop_arg $ metrics_arg $ artifacts_arg)
+      $ endpoint_arg $ metrics_arg $ artifacts_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1197,8 +1189,8 @@ let cluster_cmd =
              every read falls back to the full two rounds.  Overrides \
              $(b,--protocol).")
   in
-  let run protocol t b s readers writes reads transport crash inflight loop
-      domains fast_reads keys zipf write_ratio coalesce seed copts jobs
+  let run protocol t b s readers writes reads transport crash inflight domains
+      fast_reads keys zipf write_ratio coalesce seed copts jobs
       metrics artifacts =
     if inflight < 0 then begin
       Format.eprintf "robustread: --inflight %d must be >= 0@." inflight;
@@ -1227,18 +1219,15 @@ let cluster_cmd =
         exit 2
     | _ -> ());
     let cluster =
-      Net.Cluster.start ~metrics ~opts:copts ~transport ~loop ~domains
-        ~protocol ~cfg ~readers ()
+      Net.Cluster.start ~metrics ~opts:copts ~transport ~domains ~protocol
+        ~cfg ~readers ()
     in
-    Format.printf "cluster of %a (%s) over %s sockets (%s loop): %d writes, \
-                   %d readers x %d reads%s%s@."
+    Format.printf "cluster of %a (%s) over %s sockets (%d server domains): \
+                   %d writes, %d readers x %d reads%s%s@."
       Quorum.Config.pp cfg
       (Net.Protocols.name protocol)
       (match transport with `Unix -> "unix" | `Tcp -> "tcp")
-      (match loop with
-      | `Threads -> "threads"
-      | `Poll when domains > 1 -> Printf.sprintf "poll x%d domains" domains
-      | `Poll -> "poll")
+      (max 1 (min domains cfg.Quorum.Config.s))
       writes readers reads
       (if inflight > 0 then Printf.sprintf " (pipelined, window %d)" inflight
        else "")
@@ -1441,7 +1430,7 @@ let cluster_cmd =
     Term.(
       const run $ net_protocol_arg $ t_arg $ b_arg $ s_arg $ readers_arg
       $ writes_arg $ reads_arg $ transport_arg $ crash_arg $ inflight_arg
-      $ loop_arg $ domains_arg $ fast_reads_arg $ keys_arg $ zipf_arg
+      $ domains_arg $ fast_reads_arg $ keys_arg $ zipf_arg
       $ write_ratio_arg $ coalesce_arg $ seed_arg $ client_opts_args
       $ jobs_arg $ metrics_arg $ artifacts_arg)
   in

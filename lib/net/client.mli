@@ -1,8 +1,9 @@
 (** Reader/writer client runtime: the protocol's round structure over
     real sockets.
 
-    A client connects to the S base-object endpoints and drives the
-    {e unchanged} reader/writer state machines from
+    A client connects to base-object endpoints (a register's S objects,
+    or a keyspace's fleet) and drives the {e unchanged} reader/writer
+    state machines from
     {!Core.Protocol_intf.S}: each operation broadcasts the round's
     message to every reachable endpoint, feeds replies back as they
     arrive (the state machines themselves decide when S−t replies — or
@@ -54,7 +55,84 @@ type outcome = {
   latency_us : int;
 }
 
+(** {2 Operations and events}
+
+    Every client is one engine: reader and writer automata per key over
+    one connection per server, driven by a select loop in the caller's
+    thread.  A single register is key 0.  Outbound frames go as
+    [Msg_key] and are coalesced per connection flush ({!Codec.Out}),
+    which is wire-compatible with unbatched peers because frames are
+    length-prefixed and self-delimiting. *)
+
+type kop = Read of { key : int } | Write of { key : int; value : Core.Value.t }
+
+val op_key : kop -> int
+
+val op_is_write : kop -> bool
+
+type event =
+  | Invoke of {
+      op : int;
+      key : int;
+      write : bool;
+      reader : int;
+      joined : bool;
+      at_us : int;
+    }
+      (** Operation [op] was assigned: to reader id [reader] of [key]'s
+          pool, or to [key]'s writer ([write], [reader = 0]).  [joined]
+          means the read coalesced onto the round that reader was
+          assembling instead of running its own; writes never
+          coalesce. *)
+  | Respond of {
+      op : int;
+      key : int;
+      write : bool;
+      reader : int;
+      joined : bool;
+      at_us : int;
+      outcome : (outcome, string) result;
+    }  (** Operation [op] completed (or timed out). *)
+
 type t
+(** A client engine; {!connect}, {!Mux.connect} and {!Keyed.connect}
+    build its three shapes. *)
+
+val run_ops :
+  ?on_event:(event -> unit) -> t -> kop array -> (outcome, string) result array
+(** [run_ops t ops] drives every operation to completion (or timeout);
+    result [i] is operation [i]'s outcome.  [on_event] observes
+    invocations and responses in real time (for history recording).
+
+    Per (key, role) at most as many operations progress as the role has
+    automata — one writer, the key's reader pool — and excess operations
+    queue FIFO, so each key's reads and each key's writes stay
+    program-ordered while distinct keys overlap up to the client's
+    window.  A read and a write on the {e same} key may overlap: they
+    are different automata — exactly the paper's concurrent
+    reader/writer.
+
+    A timed-out operation parks its machine mid-round — the automata
+    have no abort — and the next operation on that slot resumes it; a
+    resumed {e write} completes the parked round, so the resuming
+    write's own value is not what gets written.
+    @raise Invalid_argument before anything is sent if an op's key is
+    outside the client's map, or its role is one the client does not
+    play (a write on a reader client, a read on the writer). *)
+
+val spans : t -> Obs.Span.t list
+(** One span per operation, invocation order; failed operations stay
+    open — exactly the simulator's convention. *)
+
+val connected : t -> int list
+(** Object indices (fleet slot + 1) with an established connection. *)
+
+val keys_touched : t -> int
+(** Keys with materialized automata so far. *)
+
+val close : t -> unit
+
+(** {2 One register, one operation at a time} *)
 
 val connect :
   ?metrics:Obs.Metrics.t ->
@@ -67,56 +145,52 @@ val connect :
   t
 (** [connect ~protocol ~cfg ~role endpoints] prepares a client for the S
     = [Array.length endpoints] base objects; endpoint [i] hosts object
-    [i+1].  Connections are established lazily and re-established with
-    backoff, so a dead endpoint at connect time is not an error.
-    [now_us] overrides the span clock (default: microseconds since
-    [connect]).
+    [i+1].  It is the engine with window 1 on key 0, playing the writer
+    or reader id [j].  Connections are established lazily and
+    re-established with backoff, so a dead endpoint at connect time is
+    not an error.  [now_us] overrides the span clock (default:
+    microseconds since [connect]).
     @raise Invalid_argument if [endpoints] does not match [cfg.s] or the
     role is a [`Reader j] with [j < 1]. *)
 
 val write : t -> Core.Value.t -> (outcome, string) result
-(** Run one WRITE to completion.  @raise Invalid_argument on a reader. *)
+(** Run one WRITE of key 0 to completion.  @raise Invalid_argument on a
+    reader. *)
 
 val read : t -> (outcome, string) result
-(** Run one READ to completion.  @raise Invalid_argument on the writer. *)
+(** Run one READ of key 0 to completion.  @raise Invalid_argument on
+    the writer. *)
 
-val spans : t -> Obs.Span.t list
-(** One span per operation, invocation order; failed operations stay
-    open — exactly the simulator's convention. *)
-
-val connected : t -> int list
-(** Object indices with a currently established connection. *)
-
-val close : t -> unit
-
-(** {2 Pipelined reads}
+(** {2 Pipelined reads of one register}
 
     A reader automaton runs one operation at a time (its round
-    timestamps are per-op), so the in-flight window is built from
-    [readers] independent reader machines — each with its own connection
-    set to the same S endpoints, its own round state, deadline and
-    backoff — multiplexed onto one select-driven event loop in the
-    caller's thread.  Per-op acceptance is exactly the serial client's:
-    the unchanged state machines decide when S−t replies suffice.
-    Outbound frames are coalesced per connection flush ({!Codec.Out}),
-    which is wire-compatible with unbatched peers because frames are
-    length-prefixed and self-delimiting. *)
+    timestamps are per-op), so the in-flight window is built from a
+    pool of reader ids on key 0 — each with its own round state,
+    deadline and backoff — sharing one connection per server.  Per-op
+    acceptance is exactly the serial client's: the unchanged state
+    machines decide when S−t replies suffice. *)
 
 module Mux : sig
-  type event =
-    | Invoke of { op : int; reader : int; joined : bool; at_us : int }
-        (** Operation [op] was assigned to reader [reader]; [joined]
-            means it coalesced onto the round that reader's slot was
-            assembling instead of running its own. *)
+  type nonrec event = event =
+    | Invoke of {
+        op : int;
+        key : int;
+        write : bool;
+        reader : int;
+        joined : bool;
+        at_us : int;
+      }
     | Respond of {
         op : int;
+        key : int;
+        write : bool;
         reader : int;
         joined : bool;
         at_us : int;
         outcome : (outcome, string) result;
-      }  (** Operation [op] completed (or timed out). *)
+      }
 
-  type t
+  type nonrec t = t
 
   val connect :
     ?metrics:Obs.Metrics.t ->
@@ -131,12 +205,13 @@ module Mux : sig
     Endpoint.t array ->
     t
   (** [connect ~readers endpoints] prepares [readers] reader slots with
-      ids [first_reader .. first_reader+readers-1] (default [1..]);
-      [max_inflight] (default [readers], clamped to [1..readers]) caps
-      how many operations progress concurrently.  Reader ids must be
-      fresh with respect to the cluster: base objects keep per-reader
-      round state, so a {e new} automaton reusing an id some earlier
-      client already advanced can be ignored by the objects.
+      ids [first_reader .. first_reader+readers-1] (default [1..]) on
+      key 0 of a one-shard map; [max_inflight] (default [readers],
+      clamped to [1..readers]) caps how many operations progress
+      concurrently.  Reader ids must be fresh with respect to the
+      cluster: base objects keep per-reader round state, so a {e new}
+      automaton reusing an id some earlier client already advanced can
+      be ignored by the objects.
 
       [coalesce] (default 1 = off, clamped to at least 1) caps how many
       reads may share one quorum round: a read admitted while a fresh
@@ -153,17 +228,11 @@ module Mux : sig
 
   val run_reads :
     ?on_event:(event -> unit) -> t -> int -> (outcome, string) result array
-  (** [run_reads t n] drives [n] READs to completion (or timeout),
-      keeping up to [max_inflight] in flight; result [i] is operation
-      [i]'s outcome.  [on_event] observes invocations and responses in
-      real time (for history recording).  A timed-out op parks its
-      machine mid-round — the automata have no abort — and the next op
-      on that slot resumes it, mirroring the serial client. *)
+  (** [run_reads t n] is {!run_ops} on [n] READs of key 0. *)
 
   val spans : t -> Obs.Span.t list
 
   val connected : t -> int list
-  (** Object indices reachable from at least one slot. *)
 
   val close : t -> unit
 end
@@ -179,39 +248,39 @@ end
     over the wire as separate registers, which is what makes per-shard
     correctness the paper's single-register argument verbatim.
 
-    Per (key, role) at most one operation is in flight and excess
-    operations queue FIFO, so each key's reads and each key's writes
-    stay program-ordered while distinct keys overlap up to
-    [max_inflight].  A read and a write on the {e same} key may overlap:
-    they are different automata — exactly the paper's concurrent
-    reader/writer.
-
     The registers are SWMR; partitioning write ownership across
     processes (at most one writer per key, ever) is the caller's job —
     the load driver does it with {!Shard.Map.mix}. *)
 
 module Keyed : sig
-  type kop = Read of { key : int } | Write of { key : int; value : Core.Value.t }
+  type nonrec kop = kop =
+    | Read of { key : int }
+    | Write of { key : int; value : Core.Value.t }
 
   val op_key : kop -> int
 
   val op_is_write : kop -> bool
 
-  type event =
-    | Invoke of { op : int; key : int; write : bool; joined : bool; at_us : int }
-        (** [joined] means the read coalesced onto the round its key's
-            reader was assembling instead of running its own; writes
-            never coalesce. *)
+  type nonrec event = event =
+    | Invoke of {
+        op : int;
+        key : int;
+        write : bool;
+        reader : int;
+        joined : bool;
+        at_us : int;
+      }
     | Respond of {
         op : int;
         key : int;
         write : bool;
+        reader : int;
         joined : bool;
         at_us : int;
         outcome : (outcome, string) result;
       }
 
-  type t
+  type nonrec t = t
 
   val connect :
     ?metrics:Obs.Metrics.t ->
@@ -229,9 +298,12 @@ module Keyed : sig
       for every shard it serves (the automata only ever count distinct
       object ids against quorum thresholds, so a shard's member ids need
       not be contiguous).  [reader] (default 1) is this client's reader
-      id for {e every} key; two keyed clients reading the same keys must
-      use distinct ids.  [max_inflight] (default 16) caps concurrently
-      progressing operations across all keys.
+      id for {e every} key — a reader pool of one; two keyed clients
+      reading the same keys must use distinct ids.  [max_inflight]
+      (default 16) caps concurrently progressing operations across all
+      keys.  Completed reads bump [shard.<i>.reads] and, on the
+      one-round path, [shard.<i>.fast_reads] when the map has more than
+      one shard.
 
       [coalesce] (default 1 = off, clamped to at least 1) caps how many
       same-key reads may share one quorum round.  A read admitted while
@@ -254,22 +326,13 @@ module Keyed : sig
     t ->
     kop array ->
     (outcome, string) result array
-  (** [run_ops t ops] drives every operation to completion (or timeout);
-      result [i] is operation [i]'s outcome.  [on_event] observes
-      invocations and responses in real time (for per-key history
-      recording).  A timed-out operation parks its machine mid-round —
-      the automata have no abort — and the next operation on that (key,
-      role) resumes it; a resumed {e write} completes the parked round,
-      so the resuming write's own value is not what gets written
-      (mirroring the serial client's resume semantics). *)
+  (** {!Client.run_ops}. *)
 
   val spans : t -> Obs.Span.t list
 
   val connected : t -> int list
-  (** Object indices (fleet slot + 1) with an established connection. *)
 
   val keys_touched : t -> int
-  (** Keys with materialized automata so far. *)
 
   val close : t -> unit
 end

@@ -1,41 +1,24 @@
-type client_slot = {
+(* One client engine as the cluster drives it, with the recorder handles
+   of the operations it has open. *)
+type engine = {
   client : Client.t;
   registry : Obs.Metrics.t option;
-  (* a resumed operation responds to the invocation that opened it *)
-  mutable open_op : Histories.Recorder.op_handle option;
+  (* Open ops by (key, write, reader id): a timed-out op stays open, and
+     the op that resumes its slot responds to the original invocation. *)
+  open_ops : (int * bool * int, Histories.Recorder.op_handle) Hashtbl.t;
+  (* Coalesced reads overlap their lead on the same slot, so they get
+     handles of their own, keyed by op index (they never park). *)
+  joined : (int, Histories.Recorder.op_handle) Hashtbl.t;
 }
 
-(* The pipelined read runtime is created on first use and cached: its
-   reader slots carry parked (timed-out) operations across calls, so
-   rebuilding it per call would leak half-finished automata. *)
-type mux_state = {
-  m_inflight : int;
-  m_first : int;  (* first reader id of this mux's slots *)
-  m_coalesce : int;
-  m_mux : Client.Mux.t;
-  m_registry : Obs.Metrics.t option;
-  m_open : Histories.Recorder.op_handle option array;  (* per reader slot *)
-  (* Coalesced reads are extra concurrent ops on the same slot, so they
-     cannot share the slot's open-op cell (nor its recorder reader id):
-     they are tracked per op index with fresh ids from [next_jrid]. *)
-  m_open_joined : (int, Histories.Recorder.op_handle) Hashtbl.t;
-}
-
-(* The keyed keyspace runtime, cached for the same reason as the mux:
-   parked per-key automata must survive across calls.  Histories are
-   per key (each key is its own register) and recorded only for keys
-   the caller samples. *)
-type keyed_state = {
-  k_inflight : int;
-  k_map : Shard.Map.t;
-  k_coalesce : int;
-  k_client : Client.Keyed.t;
-  k_registry : Obs.Metrics.t option;
-  k_recorders : (int, string Histories.Recorder.t) Hashtbl.t;
-  k_open : (int * bool, Histories.Recorder.op_handle) Hashtbl.t;
-  (* Coalesced reads overlap the lead on the same (key, role), so they
-     get their own handles, keyed by op index, under fresh reader ids. *)
-  k_open_joined : (int, Histories.Recorder.op_handle) Hashtbl.t;
+(* The pipelined and keyed engines are created on first use and cached:
+   their slots carry parked (timed-out) operations across calls, so
+   rebuilding one per call would leak half-finished automata. *)
+type cached = {
+  c_inflight : int;
+  c_coalesce : int;
+  c_map : Shard.Map.t option;  (* [None]: the pipelined single register *)
+  c_engine : engine;
 }
 
 type t = {
@@ -44,12 +27,16 @@ type t = {
   chaos_ : Chaos.t array;  (* per-object interposers; empty when direct *)
   mutable servers : Server.t array;
   server_registries : Obs.Metrics.t option array;
-  writer : client_slot;
-  readers : client_slot array;
-  mutable mux : mux_state option;
-  mutable keyed : keyed_state option;
+  writer : engine;
+  readers : engine array;
+  mutable mux : cached option;
+  mutable keyed : cached option;
+  (* Per-key histories of the keyed engine, for sampled keys: each key
+     is its own register. *)
+  keyed_recorders : (int, string Histories.Recorder.t) Hashtbl.t;
   (* Base objects keep per-reader round state, so reader ids are never
-     reused across mux generations: each new mux gets a fresh range. *)
+     reused across engine generations: each new engine gets a fresh
+     range. *)
   mutable next_rid : int;
   (* Recorder reader ids for coalesced reads: the recorder insists each
      concurrently-open read has a distinct reader, and joined reads
@@ -64,6 +51,15 @@ type t = {
   tmpdir : string option;
   with_metrics : bool;
 }
+
+let engine ~with_metrics connect =
+  let registry = if with_metrics then Some (Obs.Metrics.create ()) else None in
+  {
+    client = connect registry;
+    registry;
+    open_ops = Hashtbl.create 16;
+    joined = Hashtbl.create 16;
+  }
 
 let tmp_counter = ref 0
 
@@ -81,8 +77,8 @@ let fresh_tmpdir () =
   incr tmp_counter;
   go !tmp_counter
 
-let start ?(metrics = false) ?opts ?(transport = `Unix) ?(loop = `Threads)
-    ?(domains = 1) ?(interpose = false) ~protocol ~cfg ~readers () =
+let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
+    ?(interpose = false) ~protocol ~cfg ~readers () =
   let s = cfg.Quorum.Config.s in
   let tmpdir, endpoints =
     match transport with
@@ -99,22 +95,13 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(loop = `Threads)
   in
   let registry () = if metrics then Some (Obs.Metrics.create ()) else None in
   let server_registries = Array.init s (fun _ -> registry ()) in
+  (* All S objects sharded across [domains] event-loop domains. *)
   let servers =
-    match loop with
-    | `Threads ->
-        Array.init s (fun i ->
-            Server.start
-              ?metrics:server_registries.(i)
-              ~protocol ~cfg ~index:(i + 1) endpoints.(i))
-    | `Poll ->
-        (* All S objects sharded across [domains] event-loop domains
-           (one domain when unspecified). *)
-        Server.start_group
-          ?metrics:
-            (if metrics then
-               Some (fun i -> Option.get server_registries.(i))
-             else None)
-          ~domains ~protocol ~cfg endpoints
+    Server.start_group
+      ?metrics:
+        (if metrics then Some (fun i -> Option.get server_registries.(i))
+         else None)
+      ~domains ~protocol ~cfg endpoints
   in
   (* Ephemeral TCP ports are only known after bind. *)
   let server_endpoints = Array.map Server.endpoint servers in
@@ -140,14 +127,8 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(loop = `Threads)
     if interpose then Array.map Chaos.endpoint chaos_ else server_endpoints
   in
   let slot role =
-    let registry = registry () in
-    {
-      client =
-        Client.connect ?metrics:registry ?opts ~now_us ~protocol ~cfg ~role
-          endpoints;
-      registry;
-      open_op = None;
-    }
+    engine ~with_metrics:metrics (fun metrics ->
+        Client.connect ?metrics ?opts ~now_us ~protocol ~cfg ~role endpoints)
   in
   {
     cfg;
@@ -159,6 +140,7 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(loop = `Threads)
     readers = Array.init readers (fun j -> slot (`Reader (j + 1)));
     mux = None;
     keyed = None;
+    keyed_recorders = Hashtbl.create 64;
     next_rid = readers + 1;
     next_jrid = 1_000_000;
     copts = opts;
@@ -174,296 +156,156 @@ let locked t f =
   Mutex.lock t.rec_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.rec_mutex) f
 
-(* Record the invocation unless the slot still has an op in flight (the
-   client resumes it; the original invocation stays the right event). *)
-let invoke t slot mk =
-  locked t (fun () ->
-      match slot.open_op with
-      | Some h -> h
-      | None ->
-          let h = mk ~time:(t.now_us ()) in
-          slot.open_op <- Some h;
-          h)
+let result_of (o : Client.outcome) =
+  match o.value with
+  | Some (Core.Value.V s) -> Histories.Op.Value s
+  | Some Core.Value.Bottom | None -> Histories.Op.Bottom
 
-let respond t slot h finish =
-  locked t (fun () ->
-      slot.open_op <- None;
-      finish h ~time:(t.now_us ()))
+(* Record one engine event in [recorder key]'s history ([None]: the key
+   is not sampled).  Ops are recorded at their real invoke/respond
+   instants, so the checkers see the true concurrency. *)
+let record t e ~recorder ops ev =
+  match ev with
+  | Client.Invoke { op; key; write; reader; joined; at_us } -> (
+      match recorder key with
+      | None -> ()
+      | Some r ->
+          if joined then begin
+            (* A coalesced read overlaps its lead, so it needs a
+               recorder reader id of its own (the recorder allows one
+               open op per reader). *)
+            let jrid = t.next_jrid in
+            t.next_jrid <- jrid + 1;
+            Hashtbl.replace e.joined op
+              (Histories.Recorder.invoke_read r ~time:at_us ~reader:jrid)
+          end
+          else if not (Hashtbl.mem e.open_ops (key, write, reader)) then
+            (* (an open entry means a parked op is being resumed: its
+               invocation stands) *)
+            Hashtbl.replace e.open_ops (key, write, reader)
+              (match ops.(op) with
+              | Client.Write { value; _ } ->
+                  Histories.Recorder.invoke_write r ~time:at_us
+                    (Core.Value.to_string value)
+              | Client.Read _ ->
+                  Histories.Recorder.invoke_read r ~time:at_us ~reader))
+  | Client.Respond { op; key; write; reader; joined; at_us; outcome } -> (
+      let h =
+        if joined then Hashtbl.find_opt e.joined op
+        else Hashtbl.find_opt e.open_ops (key, write, reader)
+      in
+      (* joined ops never park; a failed lead stays open for the op that
+         resumes it *)
+      if joined then Hashtbl.remove e.joined op;
+      match (recorder key, h, outcome) with
+      | Some r, Some h, Ok o ->
+          if not joined then Hashtbl.remove e.open_ops (key, write, reader);
+          if write then Histories.Recorder.respond_write r h ~time:at_us
+          else Histories.Recorder.respond_read r h ~time:at_us (result_of o)
+      | _ -> ())
 
-let write t v =
-  let slot = t.writer in
-  let h =
-    invoke t slot (fun ~time ->
-        Histories.Recorder.invoke_write t.recorder ~time
-          (Core.Value.to_string v))
+(* Events fire on the pump's hot path, once per op start and finish:
+   take the mutex directly instead of allocating a [locked] thunk per
+   event.  Recorder calls raise only on misuse bugs; the handler
+   re-raises with the mutex released so the failure stays loud. *)
+let run t e ~recorder ops =
+  let on_event ev =
+    Mutex.lock t.rec_mutex;
+    (try record t e ~recorder ops ev
+     with ex ->
+       Mutex.unlock t.rec_mutex;
+       raise ex);
+    Mutex.unlock t.rec_mutex
   in
-  match Client.write slot.client v with
-  | Ok _ as ok ->
-      respond t slot h (fun h ~time ->
-          Histories.Recorder.respond_write t.recorder h ~time);
-      ok
-  | Error _ as e -> e
+  Client.run_ops ~on_event e.client ops
+
+let main_history t _ = Some t.recorder
+
+let write t value =
+  (run t t.writer ~recorder:(main_history t)
+     [| Client.Write { key = 0; value } |]).(0)
 
 let read t ~reader =
   if reader < 1 || reader > Array.length t.readers then
     invalid_arg (Printf.sprintf "Cluster.read: reader %d" reader);
-  let slot = t.readers.(reader - 1) in
-  let h =
-    invoke t slot (fun ~time ->
-        Histories.Recorder.invoke_read t.recorder ~time ~reader)
-  in
-  match Client.read slot.client with
-  | Ok o as ok ->
-      let result =
-        match o.Client.value with
-        | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-        | Some (Core.Value.V s) -> Histories.Op.Value s
-      in
-      respond t slot h (fun h ~time ->
-          Histories.Recorder.respond_read t.recorder h ~time result);
-      ok
-  | Error _ as e -> e
+  (run t t.readers.(reader - 1) ~recorder:(main_history t)
+     [| Client.Read { key = 0 } |]).(0)
 
-let mux_for t ~inflight ~coalesce =
+(* A cached engine is reused while its parameters hold; otherwise it is
+   closed and a fresh one takes a fresh reader-id range. *)
+let cached t current ~who ~inflight ~coalesce ~map ~readers connect =
   if inflight < 1 then
-    invalid_arg (Printf.sprintf "Cluster.read_pipelined: inflight %d" inflight);
-  match t.mux with
-  | Some m when m.m_inflight = inflight && m.m_coalesce = coalesce -> m
+    invalid_arg (Printf.sprintf "Cluster.%s: inflight %d" who inflight);
+  match current with
+  | Some c
+    when c.c_inflight = inflight && c.c_coalesce = coalesce
+         && Option.equal ( == ) c.c_map map ->
+      c
   | existing ->
-      (match existing with
-      | Some m -> Client.Mux.close m.m_mux
-      | None -> ());
-      let registry =
-        if t.with_metrics then Some (Obs.Metrics.create ()) else None
-      in
+      Option.iter (fun c -> Client.close c.c_engine.client) existing;
       let first = t.next_rid in
-      t.next_rid <- t.next_rid + inflight;
-      let m =
-        {
-          m_inflight = inflight;
-          m_first = first;
-          m_coalesce = coalesce;
-          m_mux =
-            Client.Mux.connect ?metrics:registry ?opts:t.copts
-              ~now_us:t.now_us ~max_inflight:inflight ~first_reader:first
-              ~coalesce ~protocol:t.protocol ~cfg:t.cfg ~readers:inflight
-              t.endpoints;
-          m_registry = registry;
-          m_open = Array.make inflight None;
-          m_open_joined = Hashtbl.create 64;
-        }
-      in
-      t.mux <- Some m;
-      m
+      t.next_rid <- t.next_rid + readers;
+      {
+        c_inflight = inflight;
+        c_coalesce = coalesce;
+        c_map = map;
+        c_engine = engine ~with_metrics:t.with_metrics (connect ~first);
+      }
 
 let read_pipelined ?(coalesce = 1) t ~inflight ~ops =
-  let m = mux_for t ~inflight ~coalesce in
-  (* Events fire on the pump's hot path, once per op start and finish:
-     take the mutex directly instead of allocating a [locked] thunk per
-     event.  Recorder calls raise only on misuse bugs; the handler
-     below re-raises with the mutex released so the failure stays
-     loud. *)
-  let record ev =
-    match ev with
-    | Client.Mux.Invoke { op; joined = true; at_us; _ } ->
-        (* A coalesced read overlaps its lead, so it needs a recorder
-           reader id of its own (the recorder allows one open op per
-           reader).  Joined ops never park/resume: keyed by op index. *)
-        let jrid = t.next_jrid in
-        t.next_jrid <- t.next_jrid + 1;
-        Hashtbl.replace m.m_open_joined op
-          (Histories.Recorder.invoke_read t.recorder ~time:at_us ~reader:jrid)
-    | Client.Mux.Respond { op; joined = true; at_us; outcome; _ } -> (
-        match Hashtbl.find_opt m.m_open_joined op with
-        | None -> ()
-        | Some h -> (
-            Hashtbl.remove m.m_open_joined op;
-            match outcome with
-            | Error _ -> ()  (* never resumed: the op stays open *)
-            | Ok o ->
-                let result =
-                  match o.Client.value with
-                  | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-                  | Some (Core.Value.V s) -> Histories.Op.Value s
-                in
-                Histories.Recorder.respond_read t.recorder h ~time:at_us result))
-    | Client.Mux.Invoke { reader; at_us; _ } -> (
-        match m.m_open.(reader - m.m_first) with
-        | Some _ -> ()  (* resuming a parked op: invocation stands *)
-        | None ->
-            m.m_open.(reader - m.m_first) <-
-              Some
-                (Histories.Recorder.invoke_read t.recorder ~time:at_us ~reader))
-    | Client.Mux.Respond { reader; at_us; outcome; _ } -> (
-        match outcome with
-        | Error _ -> ()  (* op stays open; a later read resumes it *)
-        | Ok o -> (
-            match m.m_open.(reader - m.m_first) with
-            | None -> ()
-            | Some h ->
-                m.m_open.(reader - m.m_first) <- None;
-                let result =
-                  match o.Client.value with
-                  | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-                  | Some (Core.Value.V s) -> Histories.Op.Value s
-                in
-                Histories.Recorder.respond_read t.recorder h ~time:at_us result))
+  let m =
+    cached t t.mux ~who:"read_pipelined" ~inflight ~coalesce ~map:None
+      ~readers:inflight (fun ~first metrics ->
+        Client.Mux.connect ?metrics ?opts:t.copts ~now_us:t.now_us
+          ~max_inflight:inflight ~first_reader:first ~coalesce
+          ~protocol:t.protocol ~cfg:t.cfg ~readers:inflight t.endpoints)
   in
-  let on_event ev =
-    Mutex.lock t.rec_mutex;
-    (try record ev
-     with e ->
-       Mutex.unlock t.rec_mutex;
-       raise e);
-    Mutex.unlock t.rec_mutex
-  in
-  Client.Mux.run_reads ~on_event m.m_mux ops
-
-let keyed_for t ~map ~inflight ~coalesce =
-  if inflight < 1 then
-    invalid_arg (Printf.sprintf "Cluster.run_keyed: inflight %d" inflight);
-  match t.keyed with
-  | Some k
-    when k.k_inflight = inflight && k.k_map == map && k.k_coalesce = coalesce
-    ->
-      k
-  | existing ->
-      (match existing with
-      | Some k -> Client.Keyed.close k.k_client
-      | None -> ());
-      if Shard.Map.fleet map <> Array.length t.endpoints then
-        invalid_arg
-          (Printf.sprintf "Cluster.run_keyed: map fleet %d, cluster has %d"
-             (Shard.Map.fleet map) (Array.length t.endpoints));
-      let registry =
-        if t.with_metrics then Some (Obs.Metrics.create ()) else None
-      in
-      (* Fresh reader id: key 0 is also served to the plain clients
-         (untagged frames), so the keyed reader must not collide with a
-         serial reader's per-reader round state on key 0's objects. *)
-      let rid = t.next_rid in
-      t.next_rid <- t.next_rid + 1;
-      let k =
-        {
-          k_inflight = inflight;
-          k_map = map;
-          k_coalesce = coalesce;
-          k_client =
-            Client.Keyed.connect ?metrics:registry ?opts:t.copts
-              ~now_us:t.now_us ~max_inflight:inflight ~reader:rid ~coalesce
-              ~protocol:t.protocol ~map t.endpoints;
-          k_registry = registry;
-          k_recorders = Hashtbl.create 64;
-          k_open = Hashtbl.create 64;
-          k_open_joined = Hashtbl.create 64;
-        }
-      in
-      t.keyed <- Some k;
-      k
+  t.mux <- Some m;
+  run t m.c_engine ~recorder:(main_history t)
+    (Array.make ops (Client.Read { key = 0 }))
 
 let run_keyed ?(inflight = 16) ?(coalesce = 1) ?(sample = fun _ -> true) t ~map
     ops =
-  let k = keyed_for t ~map ~inflight ~coalesce in
-  let recorder_for key =
-    match Hashtbl.find_opt k.k_recorders key with
-    | Some r -> r
-    | None ->
-        let r = Histories.Recorder.create () in
-        Hashtbl.replace k.k_recorders key r;
-        r
+  if Shard.Map.fleet map <> Array.length t.endpoints then
+    invalid_arg
+      (Printf.sprintf "Cluster.run_keyed: map fleet %d, cluster has %d"
+         (Shard.Map.fleet map) (Array.length t.endpoints));
+  (* Fresh reader id: key 0 is also served to the single-register
+     clients, so the keyed reader must not collide with their per-reader
+     round state on key 0's objects. *)
+  let k =
+    cached t t.keyed ~who:"run_keyed" ~inflight ~coalesce ~map:(Some map)
+      ~readers:1 (fun ~first metrics ->
+        Client.Keyed.connect ?metrics ?opts:t.copts ~now_us:t.now_us
+          ~max_inflight:inflight ~reader:first ~coalesce ~protocol:t.protocol
+          ~map t.endpoints)
   in
-  let record ev =
-    match ev with
-    | Client.Keyed.Invoke { op; key; joined = true; at_us; _ } ->
-        if sample key then begin
-          (* A coalesced read overlaps its lead on the same key, so it
-             records under a fresh reader id (the recorder allows one
-             open op per reader).  Joined ops never park/resume: keyed
-             by op index. *)
-          let jrid = t.next_jrid in
-          t.next_jrid <- t.next_jrid + 1;
-          let r = recorder_for key in
-          Hashtbl.replace k.k_open_joined op
-            (Histories.Recorder.invoke_read r ~time:at_us ~reader:jrid)
-        end
-    | Client.Keyed.Respond { op; key; joined = true; at_us; outcome; _ } ->
-        if sample key then begin
-          match Hashtbl.find_opt k.k_open_joined op with
-          | None -> ()
-          | Some h -> (
-              Hashtbl.remove k.k_open_joined op;
-              match outcome with
-              | Error _ -> ()  (* never resumed: the op stays open *)
-              | Ok o ->
-                  let r = recorder_for key in
-                  let result =
-                    match o.Client.value with
-                    | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-                    | Some (Core.Value.V s) -> Histories.Op.Value s
-                  in
-                  Histories.Recorder.respond_read r h ~time:at_us result)
-        end
-    | Client.Keyed.Invoke { op; key; write; at_us; _ } ->
-        if sample key then begin
-          match Hashtbl.find_opt k.k_open (key, write) with
-          | Some _ -> ()  (* resuming a parked op: invocation stands *)
-          | None ->
-              let r = recorder_for key in
-              let h =
-                if write then
-                  let v =
-                    match ops.(op) with
-                    | Client.Keyed.Write { value; _ } ->
-                        Core.Value.to_string value
-                    | Client.Keyed.Read _ -> assert false
-                  in
-                  Histories.Recorder.invoke_write r ~time:at_us v
-                else Histories.Recorder.invoke_read r ~time:at_us ~reader:1
-              in
-              Hashtbl.replace k.k_open (key, write) h
-        end
-    | Client.Keyed.Respond { key; write; at_us; outcome; _ } ->
-        if sample key then begin
-          match outcome with
-          | Error _ -> ()  (* op stays open; a later op resumes it *)
-          | Ok o -> (
-              match Hashtbl.find_opt k.k_open (key, write) with
-              | None -> ()
-              | Some h ->
-                  Hashtbl.remove k.k_open (key, write);
-                  let r = recorder_for key in
-                  if write then Histories.Recorder.respond_write r h ~time:at_us
-                  else
-                    let result =
-                      match o.Client.value with
-                      | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-                      | Some (Core.Value.V s) -> Histories.Op.Value s
-                    in
-                    Histories.Recorder.respond_read r h ~time:at_us result)
-        end
+  (* a rebuilt engine starts fresh per-key histories *)
+  (match t.keyed with
+  | Some c when c == k -> ()
+  | Some _ | None -> Hashtbl.reset t.keyed_recorders);
+  t.keyed <- Some k;
+  let recorder key =
+    if not (sample key) then None
+    else
+      match Hashtbl.find_opt t.keyed_recorders key with
+      | Some r -> Some r
+      | None ->
+          let r = Histories.Recorder.create () in
+          Hashtbl.replace t.keyed_recorders key r;
+          Some r
   in
-  let on_event ev =
-    Mutex.lock t.rec_mutex;
-    (try record ev
-     with e ->
-       Mutex.unlock t.rec_mutex;
-       raise e);
-    Mutex.unlock t.rec_mutex
-  in
-  Client.Keyed.run_ops ~on_event k.k_client ops
+  run t k.c_engine ~recorder ops
 
 let keyed_histories t =
-  match t.keyed with
-  | None -> []
-  | Some k ->
-      locked t (fun () ->
-          Hashtbl.fold
-            (fun key r acc -> (key, Histories.Recorder.ops r) :: acc)
-            k.k_recorders []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+  locked t (fun () ->
+      Hashtbl.fold
+        (fun key r acc -> (key, Histories.Recorder.ops r) :: acc)
+        t.keyed_recorders []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
 
 let keys_touched t =
-  match t.keyed with None -> 0 | Some k -> Client.Keyed.keys_touched k.k_client
+  match t.keyed with None -> 0 | Some k -> Client.keys_touched k.c_engine.client
 
 let check_index t i =
   if i < 1 || i > Array.length t.servers then
@@ -478,7 +320,7 @@ let crash t i =
    can skip or retry instead of unwinding mid-sweep. *)
 let restart ?wipe t i =
   check_index t i;
-  if Server.is_alive t.servers.(i - 1) then Error (`Still_alive i)
+  if Server.alive t.servers.(i - 1) then Error (`Still_alive i)
   else begin
     t.servers.(i - 1) <- Server.restart ?wipe t.servers.(i - 1);
     Ok ()
@@ -491,8 +333,8 @@ let restart_exn ?wipe t i =
       invalid_arg (Printf.sprintf "Cluster.restart: server %d still alive" i)
 
 let partition_violations t =
-  (* Group-wide counter for the poll group (every handle reports the
-     same one); always 0 per handle for thread servers. *)
+  (* A group-wide counter: every handle of the group reports the same
+     one. *)
   Array.fold_left
     (fun acc s -> max acc (Server.partition_violations s))
     0 t.servers
@@ -512,47 +354,27 @@ let cfg t = t.cfg
 
 let history t = locked t (fun () -> Histories.Recorder.ops t.recorder)
 
-let spans t =
-  Client.spans t.writer.client
-  @ List.concat_map
-      (fun r -> Client.spans r.client)
-      (Array.to_list t.readers)
-  @ (match t.mux with Some m -> Client.Mux.spans m.m_mux | None -> [])
-  @ (match t.keyed with Some k -> Client.Keyed.spans k.k_client | None -> [])
+(* Writer, serial readers, then the cached pipelined and keyed engines. *)
+let engines t =
+  (t.writer :: Array.to_list t.readers)
+  @ List.filter_map (Option.map (fun c -> c.c_engine)) [ t.mux; t.keyed ]
+
+let spans t = List.concat_map (fun e -> Client.spans e.client) (engines t)
 
 let metrics t =
   if not t.with_metrics then None
   else begin
     let dst = Obs.Metrics.create () in
-    Array.iter
-      (Option.iter (fun src -> Obs.Metrics.merge_into ~dst src))
-      t.server_registries;
-    Option.iter (fun src -> Obs.Metrics.merge_into ~dst src) t.writer.registry;
-    Array.iter
-      (fun r -> Option.iter (fun src -> Obs.Metrics.merge_into ~dst src) r.registry)
-      t.readers;
-    (match t.mux with
-    | Some { m_registry = Some src; _ } -> Obs.Metrics.merge_into ~dst src
-    | _ -> ());
-    (match t.keyed with
-    | Some { k_registry = Some src; _ } -> Obs.Metrics.merge_into ~dst src
-    | _ -> ());
+    let merge = Option.iter (fun src -> Obs.Metrics.merge_into ~dst src) in
+    Array.iter merge t.server_registries;
+    List.iter (fun e -> merge e.registry) (engines t);
     Some dst
   end
 
 let stop t =
-  Client.close t.writer.client;
-  Array.iter (fun r -> Client.close r.client) t.readers;
-  (match t.mux with
-  | Some m ->
-      Client.Mux.close m.m_mux;
-      t.mux <- None
-  | None -> ());
-  (match t.keyed with
-  | Some k ->
-      Client.Keyed.close k.k_client;
-      t.keyed <- None
-  | None -> ());
+  List.iter (fun e -> Client.close e.client) (engines t);
+  t.mux <- None;
+  t.keyed <- None;
   Array.iter Chaos.stop t.chaos_;
   Array.iter (fun s -> if Server.alive s then Server.stop s) t.servers;
   match t.tmpdir with

@@ -1,12 +1,13 @@
 (** Loopback cluster harness: S servers plus writer/reader clients in
     one process.
 
-    This is the live counterpart of {!Core.Scenario}: it spawns one
-    {!Server} per base object (Unix-domain sockets in a private temp
-    directory by default, TCP on demand), connects the single writer and
-    [readers] reader {!Client}s, and records every operation into a
-    {!Histories.Recorder} so the paper's safety/regularity/wait-freedom
-    checkers run on live histories exactly as they do on simulated ones.
+    This is the live counterpart of {!Core.Scenario}: it hosts the base
+    objects in one {!Server} group (Unix-domain sockets in a private
+    temp directory by default, TCP on demand), connects the single
+    writer and [readers] reader {!Client}s, and records every operation
+    into a {!Histories.Recorder} so the paper's safety/regularity/
+    wait-freedom checkers run on live histories exactly as they do on
+    simulated ones.
 
     Chaos hooks mirror the fault campaign's crash-recovery actions:
     {!crash} kills a server's sockets mid-flight (the stand-in for a
@@ -27,7 +28,6 @@ val start :
   ?metrics:bool ->
   ?opts:Client.opts ->
   ?transport:[ `Unix | `Tcp ] ->
-  ?loop:Server.loop ->
   ?domains:int ->
   ?interpose:bool ->
   protocol:Protocols.t ->
@@ -36,10 +36,9 @@ val start :
   unit ->
   t
 (** Spin up [cfg.s] servers and [readers] reader clients (plus the
-    writer).  [transport] defaults to [`Unix].  [loop] (default
-    [`Threads]) picks the server side: [`Poll] hosts all [cfg.s] objects
-    in a {!Server.start_group} event-loop group, sharded across
-    [domains] worker domains (default 1; ignored for [`Threads]).  With
+    writer).  [transport] defaults to [`Unix].  The [cfg.s] objects are
+    hosted by one {!Server.start_group} event-loop group, sharded across
+    [domains] worker domains (default 1).  With
     [interpose:true], a {!Chaos} proxy fronts every server and clients
     dial the proxies — {!chaos} exposes them for rule injection; with no
     rules set the interposers are transparent.  With [metrics:true]

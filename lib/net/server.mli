@@ -1,23 +1,28 @@
-(** Socket server hosting one base object.
+(** Socket server hosting base objects.
 
-    Each server owns a listening socket (Unix-domain or TCP) and runs
-    the protocol's {e unchanged} base-object state machine behind it: an
-    accept loop hands every connection to its own thread, which reads
-    framed messages, feeds them through [P.obj_handle] under the
-    object's lock, and writes the reply frame back.  A process that
-    hosts several objects simply starts several servers.
+    One poll-driven server: {!start_group} binds a listening socket
+    (Unix-domain or TCP) per base object and runs the protocol's
+    {e unchanged} base-object state machines behind them, multiplexing
+    every connection onto [select]-driven worker domains with
+    nonblocking sockets.  Each frame is decoded, fed through
+    [P.obj_handle] on the object's owning domain, and answered with a
+    reply frame.  A server that hosts one object is a group of one
+    ([~indices:[|index|]]).
 
     Sessions open with a {!Codec.Hello} naming the protocol and the
     object index the client dialed; mismatches are answered with a
     terminal {!Codec.Err} frame, so a client pointed at the wrong server
     fails loudly instead of feeding garbage into a state machine.
+    Protocol messages arrive as [Msg_key] (what clients send) or as the
+    untagged [Msg]/[Msg_from] of older peers, which address key 0; each
+    reply echoes its request's framing.
 
     [stop] is the graceful path (stop accepting, let queued replies
-    flush, join every thread); [crash] tears the sockets down hard —
-    the loopback chaos tests use it as the process-kill stand-in.
-    [restart] rebinds the same endpoint with the object state captured
-    at shutdown ([wipe:false], a crash-recovery with persistent state)
-    or freshly initialized ([wipe:true], a wiped replica). *)
+    flush, close); [crash] tears the sockets down hard — the loopback
+    chaos tests use it as the process-kill stand-in.  [restart] rebinds
+    the same endpoint with the object state captured at shutdown
+    ([wipe:false], a crash-recovery with persistent state) or freshly
+    initialized ([wipe:true], a wiped replica). *)
 
 type t
 
@@ -25,31 +30,6 @@ type stats = {
   connections : int;  (** sessions accepted over the server's lifetime *)
   messages : int;  (** protocol messages handled *)
 }
-
-type loop = [ `Threads | `Poll ]
-(** Connection-handling strategy: [`Threads] is the thread-per-connection
-    default; [`Poll] multiplexes every connection (and, with
-    {!start_group}, every object) onto one [select]-driven event-loop
-    thread with nonblocking sockets. *)
-
-val loop_of_string : string -> loop option
-
-val loop_to_string : loop -> string
-
-val start :
-  ?metrics:Obs.Metrics.t ->
-  ?loop:loop ->
-  protocol:Protocols.t ->
-  cfg:Quorum.Config.t ->
-  index:int ->
-  Endpoint.t ->
-  t
-(** Bind, listen and serve object [index] (1-based).  [Tcp] port 0 binds
-    an ephemeral port; {!endpoint} reports the actual one.  With
-    [metrics], the registry accumulates [net.server.*] counters and
-    per-class [wire.*] counters compatible with the simulator's.
-    [loop] (default [`Threads]) picks the connection-handling strategy.
-    @raise Unix.Unix_error if the endpoint cannot be bound. *)
 
 val start_group :
   ?metrics:(int -> Obs.Metrics.t) ->
@@ -69,9 +49,9 @@ val start_group :
     lock-free queue; from then on read, decode, automaton step, encode
     and flush are all domain-local, so no automaton is ever stepped by
     two domains ({!partition_violations} counts runtime assertions of
-    that invariant).  The wire behaviour is identical to [s]
-    thread-per-connection servers — same [Hello] validation, same
-    replies — so clients cannot tell the modes apart.
+    that invariant).  With [metrics], slot [i]'s registry accumulates
+    [net.server.*] counters and per-class [wire.*] counters compatible
+    with the simulator's.
 
     Write queues are bounded: when a connection's pending bytes exceed
     [queue_hi] (default 256 KiB, floor 4 KiB) the server stops reading
@@ -97,9 +77,7 @@ val endpoint : t -> Endpoint.t
 val index : t -> int
 
 val alive : t -> bool
-
-val is_alive : t -> bool
-(** Alias of {!alive} — the guard to check before {!restart}. *)
+(** The guard to check before {!restart}. *)
 
 val stats : t -> stats
 
@@ -117,5 +95,5 @@ val restart : ?wipe:bool -> t -> t
 val partition_violations : t -> int
 (** Number of times a base object of this handle's group was stepped
     outside its owning domain (shared across the whole {!start_group}
-    group; always 0 for [`Threads] servers, and 0 unless the sharded
-    dispatch invariant is broken — any nonzero value is a bug). *)
+    group; 0 unless the sharded dispatch invariant is broken — any
+    nonzero value is a bug). *)

@@ -342,6 +342,180 @@ let key_zero_is_the_legacy_register () =
             "legacy" (Core.Value.to_string v)
       | None -> Alcotest.fail "keyed read of key 0 returned no value")
 
+(* A failed run leaves nothing behind for the client's next run to
+   complete against its own results.  A key outside the map raises
+   before anything is sent; a callback that raises mid-run parks the op
+   in flight and drops the op queued behind it. *)
+let failed_run_leaves_nothing_behind () =
+  let c =
+    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg3 ~readers:1 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let map = Shard.Map.make_exn ~keys:4 ~fleet:3 ~cfg:cfg3 () in
+      let keyed =
+        Net.Client.Keyed.connect ~reader:7 ~protocol:Net.Protocols.safe ~map
+          (Net.Cluster.endpoints c)
+      in
+      Fun.protect
+        ~finally:(fun () -> Net.Client.Keyed.close keyed)
+        (fun () ->
+          let write key v =
+            Net.Client.Keyed.Write { key; value = Core.Value.v v }
+          in
+          let read key = Net.Client.Keyed.Read { key } in
+          let events = ref 0 in
+          (match
+             Net.Client.Keyed.run_ops
+               ~on_event:(fun _ -> incr events)
+               keyed
+               [| write 0 "a0"; write 1 "a1"; read 0; read 4 |]
+           with
+          | _ -> Alcotest.fail "a key outside the map was accepted"
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check int) "no op invoked" 0 !events;
+          Alcotest.(check int) "no key materialized" 0
+            (Net.Client.Keyed.keys_touched keyed);
+          Alcotest.(check (list int)) "nothing dialed" []
+            (Net.Client.Keyed.connected keyed);
+          (* key 3's first read starts, its second queues, and the
+             callback raises on the write's invocation *)
+          (match
+             Net.Client.Keyed.run_ops
+               ~on_event:(function
+                 | Net.Client.Keyed.Invoke { write = true; _ } -> raise Exit
+                 | _ -> ())
+               keyed
+               [| read 3; read 3; write 2 "c2" |]
+           with
+          | _ -> Alcotest.fail "the callback's exception was swallowed"
+          | exception Exit -> ());
+          let writes =
+            Net.Client.Keyed.run_ops keyed
+              (Array.init 3 (fun k -> write k (Printf.sprintf "b%d" k)))
+          in
+          Array.iteri
+            (fun k r ->
+              let o = ok_exn (Printf.sprintf "write of key %d" k) r in
+              Alcotest.(check bool)
+                (Printf.sprintf "result %d is a write's" k)
+                true (o.Net.Client.value = None))
+            writes;
+          let reads = Net.Client.Keyed.run_ops keyed (Array.init 4 read) in
+          Array.iteri
+            (fun k r ->
+              let o = ok_exn (Printf.sprintf "read of key %d" k) r in
+              if k < 3 then
+                Alcotest.(check (option string))
+                  (Printf.sprintf "key %d reads its write" k)
+                  (Some (Printf.sprintf "b%d" k))
+                  (Option.map Core.Value.to_string o.Net.Client.value))
+            reads))
+
+(* Clients only send [Msg_key], but servers still answer the untagged
+   [Msg] frames of older peers, on key 0.  A WRITE and a READ driven by
+   hand over raw sockets in [Msg] frames get [Msg] replies, and a keyed
+   read of key 0 then returns the written value. *)
+let legacy_msg_frames_reach_key_zero () =
+  let protocol = Net.Protocols.safe in
+  let (Net.Protocols.Packed { proto = (module P); codec }) = protocol in
+  let c = Net.Cluster.start ~protocol ~cfg:cfg3 ~readers:1 () in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      (* One session per object, opened with a [Hello] naming [sender];
+         run an automaton operation to its decision in [Msg] frames. *)
+      let run_legacy ~sender first feed =
+        let conns =
+          Array.mapi
+            (fun i ep ->
+              let fd =
+                Unix.socket (Net.Endpoint.socket_domain ep) Unix.SOCK_STREAM 0
+              in
+              Unix.connect fd (Net.Endpoint.to_sockaddr ep);
+              Net.Codec.send fd
+                (Net.Codec.encode_frame codec
+                   (Net.Codec.Hello { proto = P.name; sender; obj = i + 1 }));
+              (fd, Net.Codec.Reader.create ()))
+            (Net.Cluster.endpoints c)
+        in
+        let broadcast m =
+          Array.iter
+            (fun (fd, _) ->
+              Net.Codec.send fd
+                (Net.Codec.encode_frame codec (Net.Codec.Msg m)))
+            conns
+        in
+        broadcast first;
+        let decided = ref None in
+        while !decided = None do
+          let ready, _, _ =
+            Unix.select (Array.to_list (Array.map fst conns)) [] [] 5.0
+          in
+          if ready = [] then Alcotest.fail "legacy operation stalled";
+          Array.iteri
+            (fun i (fd, rd) ->
+              if List.mem fd ready then begin
+                if Net.Codec.recv_into fd rd = 0 then
+                  Alcotest.fail "server closed a legacy session";
+                let rec drain () =
+                  match Net.Codec.Reader.next codec rd with
+                  | Ok `Awaiting -> ()
+                  | Ok (`Frame (Net.Codec.Hello_ack _)) -> drain ()
+                  | Ok (`Frame (Net.Codec.Msg reply)) ->
+                      List.iter
+                        (function
+                          | Core.Events.Broadcast m -> broadcast m
+                          | Core.Events.Read_done { value; _ } ->
+                              decided := Some (Some value)
+                          | Core.Events.Write_done _ -> decided := Some None)
+                        (feed ~obj:(i + 1) reply);
+                      drain ()
+                  | Ok (`Frame f) ->
+                      Alcotest.failf "untagged request answered with %s"
+                        (Net.Codec.frame_info ~msg_info:(fun _ -> "msg") f)
+                  | Error e -> Alcotest.failf "decode error: %s" e
+                in
+                drain ()
+              end)
+            conns
+        done;
+        Array.iter (fun (fd, _) -> Unix.close fd) conns;
+        Option.get !decided
+      in
+      let writer, first =
+        Result.get_ok
+          (P.writer_start (P.writer_init ~cfg:cfg3) (Core.Value.v "legacy"))
+      in
+      let writer = ref writer in
+      ignore
+        (run_legacy ~sender:"w" first (fun ~obj m ->
+             let w, evs = P.writer_on_msg !writer ~obj m in
+             writer := w;
+             evs));
+      let reader, first =
+        Result.get_ok (P.reader_start (P.reader_init ~cfg:cfg3 ~j:1))
+      in
+      let reader = ref reader in
+      Alcotest.(check (option string)) "legacy read sees the legacy write"
+        (Some "legacy")
+        (Option.map Core.Value.to_string
+           (run_legacy ~sender:"r1" first (fun ~obj m ->
+                let r, evs = P.reader_on_msg !reader ~obj m in
+                reader := r;
+                evs)));
+      let map = Shard.Map.make_exn ~keys:4 ~fleet:3 ~cfg:cfg3 () in
+      let results =
+        Net.Cluster.run_keyed c ~map
+          ~sample:(fun _ -> false)
+          [| Net.Client.Keyed.Read { key = 0 } |]
+      in
+      let o = ok_exn "keyed read of key 0" results.(0) in
+      Alcotest.(check (option string)) "keyed read sees the untagged write"
+        (Some "legacy")
+        (Option.map Core.Value.to_string o.Net.Client.value))
+
 let suite =
   ( "keyspace",
     [
@@ -365,4 +539,8 @@ let suite =
         keyed_cluster_histories_check;
       Alcotest.test_case "key 0 is the legacy register" `Quick
         key_zero_is_the_legacy_register;
+      Alcotest.test_case "a failed run leaves nothing behind" `Quick
+        failed_run_leaves_nothing_behind;
+      Alcotest.test_case "untagged Msg frames reach key 0" `Quick
+        legacy_msg_frames_reach_key_zero;
     ] )

@@ -176,9 +176,10 @@ let byzantine_silent_endpoint () =
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1 in
   let protocol = Net.Protocols.safe in
   let servers =
-    List.init 3 (fun i ->
-        Net.Server.start ~protocol ~cfg ~index:(i + 1)
-          (Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 }))
+    Array.to_list
+      (Net.Server.start_group ~protocol ~cfg
+         (Array.init 3 (fun _ ->
+              Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 })))
   in
   let silent_ep, silent_cleanup = silent_listener () in
   Fun.protect
@@ -340,9 +341,10 @@ let pipelined_byzantine_silent () =
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1 in
   let protocol = Net.Protocols.safe in
   let servers =
-    List.init 3 (fun i ->
-        Net.Server.start ~protocol ~cfg ~index:(i + 1)
-          (Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 }))
+    Array.to_list
+      (Net.Server.start_group ~protocol ~cfg
+         (Array.init 3 (fun _ ->
+              Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 })))
   in
   let silent_ep, silent_cleanup = silent_listener () in
   Fun.protect
@@ -404,11 +406,10 @@ let pipelined_matches_serial () =
 (* ----- poll event-loop server mode ---------------------------------------- *)
 
 let poll_loop_cluster () =
-  (* all four objects hosted by one select-driven thread; wire behaviour
-     (including crash/restart and pipelining) must be indistinguishable *)
+  (* all four objects hosted by one select-driven domain: crash/restart
+     and pipelining over the one server loop *)
   let c =
-    Net.Cluster.start ~loop:`Poll ~protocol:Net.Protocols.safe ~cfg:cfg4
-      ~readers:1 ()
+    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
