@@ -1041,7 +1041,12 @@ let client_cmd =
         (List.length endpoints) cfg.Quorum.Config.s;
       exit 2
     end;
-    let registry = if metrics then Some (Obs.Metrics.create ()) else None in
+    (* Spans come with a registry: --artifacts needs one for spans.jsonl
+       even when --metrics does not ask for the table. *)
+    let registry =
+      if metrics || artifacts <> None then Some (Obs.Metrics.create ())
+      else None
+    in
     let client =
       Net.Client.connect ?metrics:registry ~opts:copts ~protocol ~cfg ~role
         (Array.of_list endpoints)
@@ -1071,10 +1076,10 @@ let client_cmd =
     let spans = Net.Client.spans client in
     Net.Client.close client;
     (match registry with
-    | Some reg ->
+    | Some reg when metrics ->
         Format.printf "--- metrics ---@.%s"
           (Stats.Table.to_string (Obs.Metrics.table reg))
-    | None -> ());
+    | Some _ | None -> ());
     live_artifacts ~metrics ~artifacts ~spans registry;
     if !failures > 0 then exit 1
   in
@@ -1218,9 +1223,12 @@ let cluster_cmd =
         Format.eprintf "robustread: --crash needs t >= 1@.";
         exit 2
     | _ -> ());
+    (* As for [client]: --artifacts observes the cluster so spans.jsonl
+       has the operations' spans. *)
+    let observed = metrics || artifacts <> None in
     let cluster =
-      Net.Cluster.start ~metrics ~opts:copts ~transport ~domains ~protocol
-        ~cfg ~readers ()
+      Net.Cluster.start ~metrics:observed ~opts:copts ~transport ~domains
+        ~protocol ~cfg ~readers ()
     in
     Format.printf "cluster of %a (%s) over %s sockets (%d server domains): \
                    %d writes, %d readers x %d reads%s%s@."
@@ -1307,10 +1315,10 @@ let cluster_cmd =
         (if bad = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" bad);
       let registry = Net.Cluster.metrics cluster in
       (match registry with
-      | Some reg ->
+      | Some reg when metrics ->
           Format.printf "--- metrics ---@.%s"
             (Stats.Table.to_string (Obs.Metrics.table reg))
-      | None -> ());
+      | Some _ | None -> ());
       live_artifacts ~metrics ~artifacts ~spans:(Net.Cluster.spans cluster)
         registry;
       Net.Cluster.stop cluster;
@@ -1404,8 +1412,17 @@ let cluster_cmd =
             its owning domain)"
            partition);
     let spans = Net.Cluster.spans cluster in
-    let completed = List.length (List.filter Obs.Span.completed spans) in
-    Format.printf "%d operations (%d spans completed); safety: %s@."
+    (* An unobserved cluster keeps no spans: count completions from the
+       history instead. *)
+    let completed =
+      if observed then
+        Printf.sprintf "%d spans completed"
+          (List.length (List.filter Obs.Span.completed spans))
+      else
+        Printf.sprintf "%d completed"
+          (List.length (List.filter Histories.Op.is_complete history))
+    in
+    Format.printf "%d operations (%s); safety: %s@."
       (List.length history) completed
       (if safety = [] then "OK"
        else Printf.sprintf "%d VIOLATIONS" (List.length safety));
@@ -1417,10 +1434,10 @@ let cluster_cmd =
       safety;
     let registry = Net.Cluster.metrics cluster in
     (match registry with
-    | Some reg ->
+    | Some reg when metrics ->
         Format.printf "--- metrics ---@.%s"
           (Stats.Table.to_string (Obs.Metrics.table reg))
-    | None -> ());
+    | Some _ | None -> ());
     live_artifacts ~metrics ~artifacts ~spans registry;
     Net.Cluster.stop cluster;
     if !failures > 0 || safety <> [] then exit 1

@@ -12,9 +12,12 @@ let () =
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:0 in
   Format.printf "deploying %a over loopback unix sockets@." Quorum.Config.pp cfg;
 
-  (* 2. One server per base object + a writer and a reader client. *)
+  (* 2. One server per base object + a writer and a reader client.
+     [~metrics:true] observes the cluster: clients keep spans only when
+     they have a metrics registry. *)
   let cluster =
-    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg ~readers:1 ()
+    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg
+      ~readers:1 ()
   in
 
   (* 3. WRITE, then READ against the live servers. *)

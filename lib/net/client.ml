@@ -156,44 +156,87 @@ let try_connect ~count ~on_reconnect ~codec ~proto_name ~proc c =
       warn_reconnect c ~now
         (Printf.sprintf "reconnect failed: %s" (Unix.error_message err))
 
-(* Per-frame wire cost, observed at append time on the encode scratch:
-   the length delta IS the frame's full wire size (length prefix
-   included), so key tagging's extra varint shows up here as +1–2
-   bytes. *)
-let observe_frame_bytes metrics n =
-  match metrics with
-  | None -> ()
-  | Some reg ->
-      Obs.Metrics.observe_int reg "wire.bytes_per_frame"
-        ~bounds:Obs.Metrics.bytes_bounds n
+(* ===== observation ===================================================== *)
 
-(* Flush a connection's outbound batch: one [write] for however many
-   frames accumulated since the last flush, recording the batch size
-   and flush latency. *)
-let flush_conn ?metrics ~count c =
-  if Codec.Out.pending c.out > 0 then begin
-    match c.fd with
-    | None ->
-        Codec.Out.clear c.out;
-        c.frames_out <- 0
-    | Some fd -> (
-        let frames = c.frames_out in
-        c.frames_out <- 0;
-        match metrics with
-        | None -> (
-            try Codec.flush fd c.out
-            with Unix.Unix_error _ -> drop_conn ~count c)
-        | Some reg -> (
-            let t0 = Unix.gettimeofday () in
-            try
-              Codec.flush fd c.out;
-              Obs.Metrics.observe_int reg "wire.batch_size"
-                ~bounds:Obs.Metrics.batch_bounds frames;
-              Obs.Metrics.observe_int reg "wire.flush_us"
-                ~bounds:Obs.Metrics.wallclock_bounds
-                (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
-            with Unix.Unix_error _ -> drop_conn ~count c))
-  end
+(* What an engine built with a registry records: a span per operation,
+   and every per-message and per-op metric as a handle resolved on first
+   use.  Lazy resolution keeps a metric never touched absent from the
+   registry, exactly as by-name updates would, and no metric name is
+   built on the hot path.  An engine without a registry has no [obs]:
+   it keeps no span and updates no metric. *)
+type op_meters = {
+  completed : Obs.Metrics.counter Lazy.t;
+  rounds : Obs.Metrics.Histogram.t Lazy.t;
+  latency_us : Obs.Metrics.Histogram.t Lazy.t;
+  replies : Obs.Metrics.Histogram.t Lazy.t;
+  contacted : Obs.Metrics.Histogram.t Lazy.t;
+}
+
+type obs = {
+  reg : Obs.Metrics.t;
+  collector : Obs.Span.collector;
+  sent : Obs.Wire.counters;
+  delivered : Obs.Wire.counters;
+  frame_bytes : Obs.Metrics.Histogram.t Lazy.t;
+      (* observed per frame appended to a connection's batch: the
+         frame's full wire size, length prefix included, so key
+         tagging's extra varint shows up here as +1–2 bytes *)
+  batch_size : Obs.Metrics.Histogram.t Lazy.t;
+  flush_us : Obs.Metrics.Histogram.t Lazy.t;
+  read_m : op_meters;
+  write_m : op_meters;
+  fast_reads : Obs.Metrics.counter Lazy.t;
+  fallback_rounds : Obs.Metrics.counter Lazy.t;
+  coalesced_reads : Obs.Metrics.counter Lazy.t;
+  coalesce_width : Obs.Metrics.Histogram.t Lazy.t;
+  shard_m : (Obs.Metrics.counter Lazy.t * Obs.Metrics.counter Lazy.t) array;
+      (* per-shard reads and fast reads; empty for a one-shard map *)
+}
+
+let counter reg name = lazy (Obs.Metrics.counter reg name)
+
+let histogram reg name bounds = lazy (Obs.Metrics.histogram reg name ~bounds)
+
+let bump c = Obs.Metrics.counter_incr (Lazy.force c)
+
+let observe h v = Obs.Metrics.Histogram.observe_int (Lazy.force h) v
+
+let op_meters reg kind =
+  let name m = "op." ^ kind ^ "." ^ m in
+  {
+    completed = counter reg (name "completed");
+    rounds = histogram reg (name "rounds") Obs.Metrics.round_bounds;
+    latency_us = histogram reg (name "latency_us") Obs.Metrics.wallclock_bounds;
+    replies = histogram reg (name "replies") Obs.Metrics.count_bounds;
+    contacted = histogram reg (name "contacted") Obs.Metrics.count_bounds;
+  }
+
+let make_obs reg ~shards =
+  {
+    reg;
+    collector = Obs.Span.collector ();
+    sent = Obs.Wire.counters reg ~stage:"sent";
+    delivered = Obs.Wire.counters reg ~stage:"delivered";
+    frame_bytes =
+      histogram reg "wire.bytes_per_frame" Obs.Metrics.bytes_bounds;
+    batch_size = histogram reg "wire.batch_size" Obs.Metrics.batch_bounds;
+    flush_us = histogram reg "wire.flush_us" Obs.Metrics.wallclock_bounds;
+    read_m = op_meters reg "read";
+    write_m = op_meters reg "write";
+    fast_reads = counter reg "op.fast_reads";
+    fallback_rounds = counter reg "op.fallback_rounds";
+    coalesced_reads = counter reg "op.coalesced_reads";
+    coalesce_width = histogram reg "op.coalesce_width" Obs.Metrics.batch_bounds;
+    (* Per-shard fast-read engagement: E19's per-shard evidence that the
+       §5.1 one-round path survives sharding.  A one-shard map has
+       nothing to break down. *)
+    shard_m =
+      (if shards < 2 then [||]
+       else
+         Array.init shards (fun s ->
+             ( counter reg (Printf.sprintf "shard.%d.reads" s),
+               counter reg (Printf.sprintf "shard.%d.fast_reads" s) )));
+  }
 
 (* ===== the client engine ================================================= *)
 
@@ -266,31 +309,37 @@ let op_key = function Read { key } | Write { key; _ } -> key
 
 let op_is_write = function Read _ -> false | Write _ -> true
 
+(* An operation's latency runs from [start]; [span] is [Some] exactly
+   when the engine is observed. *)
+type joiner = { jop : int; jstart : int; jspan : Obs.Span.t option }
+
 type 'm active = {
   aop : int;  (* index into the run's result array *)
   mutable acur : 'm;  (* current round's broadcast *)
-  aspan : Obs.Span.t;
+  astart : int;
+  aspan : Obs.Span.t option;
   mutable adeadline : float;
   mutable abackoff_until : float;  (* 0. = not backing off *)
   mutable aattempt : int;
   mutable aretr : int;
-  abatch : (int * Obs.Span.t) Coalesce.t option;
-      (* READ coalescing: (op index, span) per read that joined this
-         round while its round-1 broadcast was still being assembled.
-         [None] for writes, for resumed parked rounds (their evidence
-         gathering already started — a join would not be regular), and
-         when coalescing is off.  Closed the instant the broadcast is
-         flushed to the wire. *)
+  abatch : joiner Coalesce.t option;
+      (* READ coalescing: the reads that joined this round while its
+         round-1 broadcast was still being assembled.  [None] for
+         writes, for resumed parked rounds (their evidence gathering
+         already started — a join would not be regular), and when
+         coalescing is off.  Closed the instant the broadcast is flushed
+         to the wire. *)
 }
 
 (* A timed-out op parks its machine mid-round (no abort in the paper's
-   automata); the next op assigned to the slot resumes it.  If replies
-   trickle in while parked and complete the op, the result is stashed
-   ([Sdone]) and adopted by the next assignment. *)
+   automata); the next op assigned to the slot resumes it, keeping the
+   parked op's start and span.  If replies trickle in while parked and
+   complete the op, the result is stashed ([Sdone]) and adopted by the
+   next assignment. *)
 type 'm slot_state =
   | Sidle
   | Sactive of 'm active
-  | Sparked of { mutable pcur : 'm; pspan : Obs.Span.t }
+  | Sparked of { mutable pcur : 'm; pstart : int; pspan : Obs.Span.t option }
   | Sdone of outcome
 
 type 'm slot = {
@@ -337,16 +386,13 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
         let t0 = now_f () in
         fun () -> int_of_float ((now_f () -. t0) *. 1e6)
   in
-  let collector = Obs.Span.collector () in
-  let count name =
-    match metrics with None -> () | Some reg -> Obs.Metrics.incr reg name
+  let obs =
+    Option.map (make_obs ~shards:(Shard.Map.shards map)) metrics
   in
-  let meter stage m =
-    match metrics with
-    | None -> ()
-    | Some reg ->
-        Obs.Metrics.incr reg
-          ("wire." ^ Obs.Wire.to_string (P.msg_class m) ^ "." ^ stage)
+  (* Rare events (connects, drops, retransmits, timeouts) count by
+     name; everything per message or per op goes through [obs]. *)
+  let count name =
+    match obs with None -> () | Some o -> Obs.Metrics.incr o.reg name
   in
   let conns = Array.mapi mk_conn endpoints in
   let rnames =
@@ -375,7 +421,23 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
       if idx >= 0 && idx < readers then idx else -2
     else -2
   in
-  let drop c = drop_conn ~count c in
+  (* The select set and its fd -> connection pairs, rebuilt only after a
+     connection came up or went down. *)
+  let fds_stale = ref true and live = ref [] and fds = ref [] in
+  let refresh_fds () =
+    if !fds_stale then begin
+      fds_stale := false;
+      live :=
+        Array.fold_right
+          (fun c acc -> match c.fd with Some fd -> (fd, c) :: acc | None -> acc)
+          conns [];
+      fds := List.map fst !live
+    end
+  in
+  let drop c =
+    drop_conn ~count c;
+    fds_stale := true
+  in
   let mk_slot sidx = { sidx; st = Sidle; apos = -1 } in
   (* key -> per-key automata + in-flight state, lazily materialized *)
   let regs : (P.msg, P.reader, P.writer) kreg Keys.t = Keys.create 16 in
@@ -402,23 +464,57 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
         Keys.replace regs key r;
         r
   in
+  (* A round's frame is the same bytes for every member of the key's
+     shard: encode it once, then append it to each live connection's
+     batch. *)
+  let frame = Codec.Out.create () in
   let broadcast r sl m =
-    let sender = sender_of sl in
-    Array.iter
-      (fun slot ->
-        let c = conns.(slot) in
-        match c.fd with
-        | None -> ()
-        | Some _ ->
-            meter "sent" m;
-            let before = Codec.Out.length c.out in
-            Codec.encode_frame_into codec c.out
-              (Codec.Msg_key { key = r.kkey; sender; msg = m });
-            observe_frame_bytes metrics (Codec.Out.length c.out - before);
-            c.frames_out <- c.frames_out + 1)
-      r.kconns
+    Codec.Out.clear frame;
+    Codec.encode_frame_into codec frame
+      (Codec.Msg_key { key = r.kkey; sender = sender_of sl; msg = m });
+    let members = ref 0 in
+    for k = 0 to Array.length r.kconns - 1 do
+      let c = conns.(r.kconns.(k)) in
+      if Option.is_some c.fd then begin
+        Codec.Out.append c.out ~src:frame;
+        c.frames_out <- c.frames_out + 1;
+        incr members
+      end
+    done;
+    match obs with
+    | None -> ()
+    | Some o ->
+        (* one observation per frame sent, as when each connection
+           encoded its own copy *)
+        let cls = P.msg_class m and bytes = Codec.Out.length frame in
+        for _ = 1 to !members do
+          Obs.Wire.incr o.sent cls;
+          observe o.frame_bytes bytes
+        done
   in
-  let flush_all () = Array.iter (fun c -> flush_conn ?metrics ~count c) conns in
+  (* Flush a connection's outbound batch: one [write] for however many
+     frames accumulated since the last flush, recording the batch size
+     and flush latency when observed. *)
+  let flush_conn c =
+    if Codec.Out.pending c.out > 0 then
+      match c.fd with
+      | None ->
+          Codec.Out.clear c.out;
+          c.frames_out <- 0
+      | Some fd -> (
+          let frames = c.frames_out in
+          c.frames_out <- 0;
+          match obs with
+          | None -> ( try Codec.flush fd c.out with Unix.Unix_error _ -> drop c)
+          | Some o -> (
+              let t0 = now_f () in
+              try
+                Codec.flush fd c.out;
+                observe o.batch_size frames;
+                observe o.flush_us (int_of_float ((now_f () -. t0) *. 1e6))
+              with Unix.Unix_error _ -> drop c))
+  in
+  let flush_all () = Array.iter flush_conn conns in
   (* A re-established connection may front a restarted (possibly wiped)
      server: every reader automaton clears its timestamp cache, so no
      suffix request trusts state the server no longer has.  Idle
@@ -437,9 +533,11 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
   let ensure_conns now =
     Array.iter
       (fun c ->
-        if c.fd = None && now >= c.next_attempt then
+        if Option.is_none c.fd && now >= c.next_attempt then begin
           try_connect ~count ~codec ~proto_name:P.name ~proc:session
-            ~on_reconnect:resync c)
+            ~on_reconnect:resync c;
+          fds_stale := true
+        end)
       conns
   in
   let connected () =
@@ -447,57 +545,34 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
     |> List.filter_map (fun c ->
            match c.fd with Some _ -> Some c.index | None -> None)
   in
-  (* Per-shard fast-read engagement: E19's per-shard evidence that the
-     §5.1 one-round path survives sharding.  A one-shard map has nothing
-     to break down. *)
-  let shard_names =
-    let shards = Shard.Map.shards map in
-    if shards < 2 then [||]
-    else
-      Array.init shards (fun s ->
-          ( Printf.sprintf "shard.%d.reads" s,
-            Printf.sprintf "shard.%d.fast_reads" s ))
-  in
   (* [rounds] is the automaton-reported count (outcome.rounds), not
      span.rounds: the fast path still broadcasts Read2 (Fig. 6: the
      round-2 write-back keeps object state and GC floors advancing), so
      the span records 2 initiated rounds even for a 1-round decision. *)
-  let op_metrics r ~write span ~rounds now =
-    match metrics with
-    | None -> ()
-    | Some reg ->
-        let k = if write then "op.write" else "op.read" in
-        Obs.Metrics.incr reg (k ^ ".completed");
-        Obs.Metrics.observe_int reg (k ^ ".rounds")
-          ~bounds:Obs.Metrics.round_bounds span.Obs.Span.rounds;
-        Obs.Metrics.observe_int reg (k ^ ".latency_us")
-          ~bounds:Obs.Metrics.wallclock_bounds
-          (now - span.Obs.Span.started_at);
-        Obs.Metrics.observe_int reg (k ^ ".replies")
-          ~bounds:Obs.Metrics.count_bounds span.Obs.Span.replies;
-        Obs.Metrics.observe_int reg (k ^ ".contacted")
-          ~bounds:Obs.Metrics.count_bounds
-          (List.length (Obs.Span.contacted span));
-        if not write then begin
-          Obs.Metrics.incr reg
-            (if rounds <= 1 then "op.fast_reads" else "op.fallback_rounds");
-          if Array.length shard_names > 0 then begin
-            let reads, fast = shard_names.(r.kshard) in
-            Obs.Metrics.incr reg reads;
-            if rounds <= 1 then Obs.Metrics.incr reg fast
-          end
-        end
+  let op_metrics o r ~write (span : Obs.Span.t) ~rounds now =
+    let m = if write then o.write_m else o.read_m in
+    bump m.completed;
+    observe m.rounds span.rounds;
+    observe m.latency_us (now - span.started_at);
+    observe m.replies span.replies;
+    (* [rev_contacted] holds distinct objects: its length is
+       [List.length (Obs.Span.contacted span)] without the sort *)
+    observe m.contacted (List.length span.rev_contacted);
+    if not write then begin
+      bump (if rounds <= 1 then o.fast_reads else o.fallback_rounds);
+      if Array.length o.shard_m > 0 then begin
+        let reads, fast = o.shard_m.(r.kshard) in
+        bump reads;
+        if rounds <= 1 then bump fast
+      end
+    end
   in
   (* Batch width is observed once per member (the histogram weights by
      op, not by round); only recorded when coalescing is on — an off run
      has no batches, and the metric's absence keeps the two
      configurations comparable. *)
   let observe_width w =
-    match metrics with
-    | None -> ()
-    | Some reg ->
-        Obs.Metrics.observe_int reg "op.coalesce_width"
-          ~bounds:Obs.Metrics.batch_bounds w
+    match obs with None -> () | Some o -> observe o.coalesce_width w
   in
   (* The current run.  A run is one [run_ops] call; state that outlives
      it (automata, parked rounds, connections) lives in [regs] and
@@ -563,14 +638,29 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
          });
     incr completed
   in
+  (* The span of an operation on slot [sl] that began at [start], when
+     observed. *)
+  let start_span sl start =
+    match obs with
+    | None -> None
+    | Some o ->
+        Some
+          (Obs.Span.start o.collector
+             (if sl.sidx < 0 then Obs.Span.Write
+              else Obs.Span.Read { reader = reader_of sl })
+             ~proc:(sender_of sl) ~now:start ~trace_pos:0)
+  in
   (* Close a completed operation's span and per-op metrics. *)
-  let complete r sl span ~rounds ~value ~retransmits =
+  let complete r sl ~start ~span ~rounds ~value ~retransmits =
     let now = now_us () in
-    Obs.Span.finish span ~now ~rounds
-      ?result:(Option.map Core.Value.to_string value)
-      ~trace_pos:0 ();
-    op_metrics r ~write:(sl.sidx < 0) span ~rounds now;
-    { value; rounds; retransmits; latency_us = now - span.Obs.Span.started_at }
+    (match (obs, span) with
+    | Some o, Some span ->
+        Obs.Span.finish span ~now ~rounds
+          ?result:(Option.map Core.Value.to_string value)
+          ~trace_pos:0 ();
+        op_metrics o r ~write:(sl.sidx < 0) span ~rounds now
+    | _ -> ());
+    { value; rounds; retransmits; latency_us = now - start }
   in
   let finish_op r sl (a : _ active) outcome =
     respond r sl ~op:a.aop ~joined:false outcome;
@@ -578,9 +668,9 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
     Queue.add (r, sl) freed
   in
   (* Fan a completed lead read's value out to every read that joined its
-     round: each joiner is a logical op with its own span and per-op
-     metrics (reporting the lead's decision round count), but it ran no
-     network round, so [in_flight] is untouched. *)
+     round: each joiner is a logical op with its own latency, span and
+     per-op metrics (reporting the lead's decision round count), but it
+     ran no network round, so [in_flight] is untouched. *)
   let fanout_ok r sl (a : _ active) ~rounds ~value =
     match a.abatch with
     | None -> ()
@@ -588,10 +678,13 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
         let w = Coalesce.width b in
         observe_width w;
         Coalesce.iter_joiners
-          (fun (op, span) ->
-            let out = complete r sl span ~rounds ~value ~retransmits:0 in
+          (fun j ->
+            let out =
+              complete r sl ~start:j.jstart ~span:j.jspan ~rounds ~value
+                ~retransmits:0
+            in
             observe_width w;
-            respond r sl ~op ~joined:true (Ok out))
+            respond r sl ~op:j.jop ~joined:true (Ok out))
           b
   in
   (* A lead that times out fails its whole batch: the joiners' evidence
@@ -602,18 +695,24 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
     | None -> ()
     | Some b ->
         Coalesce.iter_joiners
-          (fun (op, _span) -> respond r sl ~op ~joined:true (Error err))
+          (fun j -> respond r sl ~op:j.jop ~joined:true (Error err))
           b
   in
   let decided r sl ~rounds ~value =
     match sl.st with
     | Sactive a ->
-        let out = complete r sl a.aspan ~rounds ~value ~retransmits:a.aretr in
+        let out =
+          complete r sl ~start:a.astart ~span:a.aspan ~rounds ~value
+            ~retransmits:a.aretr
+        in
         sl.st <- Sidle;
         finish_op r sl a (Ok out);
         fanout_ok r sl a ~rounds ~value
     | Sparked p ->
-        sl.st <- Sdone (complete r sl p.pspan ~rounds ~value ~retransmits:0)
+        sl.st <-
+          Sdone
+            (complete r sl ~start:p.pstart ~span:p.pspan ~rounds ~value
+               ~retransmits:0)
     | Sidle | Sdone _ -> ()
   in
   let feed r sl ~obj m =
@@ -634,7 +733,9 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
         | Core.Events.Broadcast m' -> (
             match sl.st with
             | Sactive a ->
-                Obs.Span.transition a.aspan ~now:(now_us ());
+                (match a.aspan with
+                | Some span -> Obs.Span.transition span ~now:(now_us ())
+                | None -> ());
                 a.acur <- m';
                 a.adeadline <- now_f () +. opts.deadline;
                 a.abackoff_until <- 0.;
@@ -655,8 +756,11 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
           let sl = if idx < 0 then r.kws else r.krs.(idx) in
           match sl.st with
           | Sactive { aspan = span; _ } | Sparked { pspan = span; _ } ->
-              meter "delivered" m;
-              Obs.Span.contact span ~obj:c.index;
+              (match (obs, span) with
+              | Some o, Some span ->
+                  Obs.Wire.incr o.delivered (P.msg_class m);
+                  Obs.Span.contact span ~obj:c.index
+              | _ -> ());
               feed r sl ~obj:c.index m
           | Sidle | Sdone _ -> () (* stale ack between operations *))
   in
@@ -680,7 +784,7 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
         | exception Unix.Unix_error _ -> drop c
         | _ ->
             let rec drain () =
-              if c.fd <> None then
+              if Option.is_some c.fd then
                 match Codec.Reader.next codec c.reader with
                 | Ok `Awaiting -> ()
                 | Error _ ->
@@ -692,25 +796,34 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
             in
             drain ())
   in
-  (* A coalesced read occupies no slot: it is a (span, result cell) hung
-     off the lead's batch, costing no automaton state and no window
+  (* Ready-fd dispatch.  File descriptors are immediate ints on Unix, so
+     physical equality is their equality, with no polymorphic compare. *)
+  let rec dispatch fd = function
+    | [] -> ()
+    | (fd', c) :: rest -> if fd' == fd then handle_conn c else dispatch fd rest
+  in
+  let rec on_ready = function
+    | [] -> ()
+    | fd :: rest ->
+        dispatch fd !live;
+        on_ready rest
+  in
+  (* A coalesced read occupies no slot: it is a start stamp (and span)
+     hung off the lead's batch, costing no automaton state and no window
      slot. *)
   let join_read idx r sl b =
     invoke r sl ~op:idx ~joined:true;
-    let span =
-      Obs.Span.start collector
-        (Obs.Span.Read { reader = reader_of sl })
-        ~proc:(sender_of sl) ~now:(now_us ()) ~trace_pos:0
-    in
-    Coalesce.join b (idx, span);
-    count "op.coalesced_reads"
+    let jstart = now_us () in
+    Coalesce.join b { jop = idx; jstart; jspan = start_span sl jstart };
+    match obs with None -> () | Some o -> bump o.coalesced_reads
   in
-  let activate r sl ~op ~cur ~span ~batch =
+  let activate r sl ~op ~cur ~start ~span ~batch =
     sl.st <-
       Sactive
         {
           aop = op;
           acur = cur;
+          astart = start;
           aspan = span;
           adeadline = now_f () +. opts.deadline;
           abackoff_until = 0.;
@@ -739,7 +852,8 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
            be returned evidence older than its invoke, which is exactly
            what regularity forbids.  A resumed write completes the
            parked round, so its own value is not what gets written. *)
-        activate r sl ~op:idx ~cur:p.pcur ~span:p.pspan ~batch:None
+        activate r sl ~op:idx ~cur:p.pcur ~start:p.pstart ~span:p.pspan
+          ~batch:None
     | Sidle -> (
         let started =
           if sl.sidx < 0 then
@@ -763,17 +877,13 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
             respond r sl ~op:idx ~joined:false (Error e);
             start_next r sl
         | Ok m ->
-            let write = sl.sidx < 0 in
-            let span =
-              Obs.Span.start collector
-                (if write then Obs.Span.Write
-                 else Obs.Span.Read { reader = reader_of sl })
-                ~proc:(sender_of sl) ~now:(now_us ()) ~trace_pos:0
-            in
+            let start = now_us () in
+            let span = start_span sl start in
             let batch =
-              if write || cap <= 1 then None else Some (Coalesce.create ~cap)
+              if sl.sidx < 0 || cap <= 1 then None
+              else Some (Coalesce.create ~cap)
             in
-            activate r sl ~op:idx ~cur:m ~span ~batch;
+            activate r sl ~op:idx ~cur:m ~start ~span ~batch;
             (* Piggyback: reads already queued behind this key ride the
                fresh round — they were invoked before its broadcast was
                even assembled, so joining preserves both regularity and
@@ -892,7 +1002,8 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
                 | [] -> "none"
                 | l -> String.concat "," (List.map string_of_int l))
             in
-            sl.st <- Sparked { pcur = a.acur; pspan = a.aspan };
+            sl.st <-
+              Sparked { pcur = a.acur; pstart = a.astart; pspan = a.aspan };
             finish_op r sl a (Error err);
             fanout_err r sl a err
           end
@@ -911,7 +1022,8 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
     if !in_flight > 0 then
       Array.iter
         (fun c ->
-          if c.fd = None && c.next_attempt < !acc then acc := c.next_attempt)
+          if Option.is_none c.fd && c.next_attempt < !acc then
+            acc := c.next_attempt)
         conns;
     Float.max 0. (!acc -. now)
   in
@@ -936,23 +1048,24 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
       flush_all ();
       close_batches ();
       if !completed < !n then begin
-        let fds = Array.to_list conns |> List.filter_map (fun c -> c.fd) in
+        refresh_fds ();
         let timeout = next_wakeup (now_f ()) in
-        (if fds = [] then idle_wait timeout
-         else
-           match Unix.select fds [] [] timeout with
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-           | ready, _, _ ->
-               List.iter
-                 (fun fd ->
-                   Array.iter
-                     (fun c -> if c.fd = Some fd then handle_conn c)
-                     conns)
-                 ready);
+        (match !fds with
+        | [] -> idle_wait timeout
+        | fds -> (
+            match Unix.select fds [] [] timeout with
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+            | ready, _, _ -> on_ready ready));
         process_timers (now_f ());
         pump ()
       end
     end
+    else
+      (* The run is over, but an op may have decided while its next
+         round was broadcast (a fast read's round-2 write-back, which
+         keeps the objects' GC floors advancing): send it now rather
+         than at the start of the next run. *)
+      flush_all ()
   in
   (* A run that raises (an [on_event] callback did) must not leave ops
      behind for the next run to complete against its own result array:
@@ -968,7 +1081,8 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
       clear !act_regs.(i);
       sl.apos <- -1;
       match sl.st with
-      | Sactive a -> sl.st <- Sparked { pcur = a.acur; pspan = a.aspan }
+      | Sactive a ->
+          sl.st <- Sparked { pcur = a.acur; pstart = a.astart; pspan = a.aspan }
       | Sidle | Sparked _ | Sdone _ -> ()
     done;
     in_flight := 0;
@@ -1013,11 +1127,14 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
         drop c;
         Codec.Reader.recycle c.reader;
         Codec.Out.recycle c.out)
-      conns
+      conns;
+    Codec.Out.recycle frame
   in
   {
     run;
-    spans_ = (fun () -> Obs.Span.spans collector);
+    spans_ =
+      (fun () ->
+        match obs with None -> [] | Some o -> Obs.Span.spans o.collector);
     connected_ = connected;
     keys_touched_ = (fun () -> Keys.length regs);
     close_ = close;

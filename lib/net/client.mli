@@ -20,14 +20,19 @@
       resets, or times out is marked down and retried later; operations
       proceed on the survivors, so a crashed or Byzantine-silent
       minority never blocks progress (wait-freedom, paper §2.2);
-    - {b observability} — every operation opens an {!Obs.Span}
-      (microsecond timestamps, round transitions, contacted objects)
-      and, with [metrics], populates the same [op.*] / [wire.*] metric
-      families as the simulator, so live runs export through the
-      existing JSONL exporters unchanged.  Completed reads additionally
-      bump [op.fast_reads] (reported rounds <= 1: the §5.1 one-round
-      fast path) or [op.fallback_rounds] (>= 2 rounds), so traces
-      distinguish the paths without parsing spans;
+    - {b observability} — with [metrics], every operation opens an
+      {!Obs.Span} (microsecond timestamps, round transitions, contacted
+      objects) and populates the same [op.*] / [wire.*] metric families
+      as the simulator, so live runs export through the existing JSONL
+      exporters unchanged.  Completed reads additionally bump
+      [op.fast_reads] (reported rounds <= 1: the §5.1 one-round fast
+      path) or [op.fallback_rounds] (>= 2 rounds), so traces
+      distinguish the paths without parsing spans.  The rule is one
+      switch: a registry means spans and metrics, no registry means
+      neither — an unobserved client keeps no per-operation state once
+      an operation completes, and its outcomes' [latency_us] stay exact.
+      Observed hot-path metrics are handles resolved on first use, so
+      no metric name is built per message or per operation;
     - {b cache resync} — re-establishing a connection that was up before
       means the server behind it may have restarted, possibly wiped.
       The client then passes every reader machine through
@@ -121,8 +126,11 @@ val run_ops :
     play (a write on a reader client, a read on the writer). *)
 
 val spans : t -> Obs.Span.t list
-(** One span per operation, invocation order; failed operations stay
-    open — exactly the simulator's convention. *)
+(** With [metrics]: one span per operation (joined reads included),
+    invocation order; failed operations stay open — exactly the
+    simulator's convention.  A client built without [metrics] keeps no
+    spans and returns [[]]: a registry means spans plus metrics, no
+    registry means neither. *)
 
 val connected : t -> int list
 (** Object indices (fleet slot + 1) with an established connection. *)

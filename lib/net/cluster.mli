@@ -42,7 +42,10 @@ val start :
     [interpose:true], a {!Chaos} proxy fronts every server and clients
     dial the proxies — {!chaos} exposes them for rule injection; with no
     rules set the interposers are transparent.  With [metrics:true]
-    every component keeps a private registry; {!metrics} merges them. *)
+    every component keeps a private registry; {!metrics} merges them
+    and {!spans} returns the clients' spans.  Without it no client keeps
+    per-operation spans; {!history} records every operation either
+    way. *)
 
 val write : t -> Core.Value.t -> (Client.outcome, string) result
 (** One WRITE through the writer client, recorded in the history. *)
@@ -139,7 +142,8 @@ val history : t -> string Histories.Op.t list
 
 val spans : t -> Obs.Span.t list
 (** Writer spans then per-reader spans; all share one microsecond
-    clock. *)
+    clock.  [[]] unless started with [metrics:true]: clients keep spans
+    exactly when they have a registry. *)
 
 val metrics : t -> Obs.Metrics.t option
 (** Merged snapshot of every component registry (servers then clients);

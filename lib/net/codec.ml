@@ -101,6 +101,11 @@ module Out = struct
       t.buf <- nb
     end
 
+  let append t ~src =
+    ensure t src.len;
+    Bytes.blit src.buf 0 t.buf t.len src.len;
+    t.len <- t.len + src.len
+
   (* After a one-off large frame, fall back to a pool-class buffer so
      the scratch does not retain peak capacity forever. *)
   let maybe_shrink t =

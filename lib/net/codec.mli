@@ -61,6 +61,11 @@ module Out : sig
   val contents : t -> string
   (** Everything appended since the last clear, flushed or not. *)
 
+  val append : t -> src:t -> unit
+  (** [append t ~src] copies everything appended to [src] since its
+      last clear onto the end of [t]: a frame encoded once can join
+      many connections' batches. *)
+
   val recycle : t -> unit
   (** Return the backing buffer to the arena.  The scratch stays usable
       (it re-acquires storage on the next append). *)

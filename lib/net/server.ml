@@ -48,6 +48,35 @@ let proc_of_string s =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+module Keys = Hashtbl.Make (Int)
+
+(* One slot's hot-path metrics, each resolved on first use so a metric
+   never touched stays absent from the registry, as with by-name
+   updates.  Only the slot's owning domain touches them. *)
+type slot_obs = {
+  reg : Obs.Metrics.t;
+  messages : Obs.Metrics.counter Lazy.t;
+  sent : Obs.Wire.counters;
+  delivered : Obs.Wire.counters;
+  frame_bytes : Obs.Metrics.Histogram.t Lazy.t;
+  batch_size : Obs.Metrics.Histogram.t Lazy.t;
+  queue_depth : Obs.Metrics.Histogram.t Lazy.t;
+}
+
+let slot_obs reg =
+  let histogram name bounds = lazy (Obs.Metrics.histogram reg name ~bounds) in
+  {
+    reg;
+    messages = lazy (Obs.Metrics.counter reg "net.server.messages");
+    sent = Obs.Wire.counters reg ~stage:"sent";
+    delivered = Obs.Wire.counters reg ~stage:"delivered";
+    frame_bytes = histogram "wire.bytes_per_frame" Obs.Metrics.bytes_bounds;
+    batch_size = histogram "wire.batch_size" Obs.Metrics.batch_bounds;
+    queue_depth = histogram "wire.queue_depth" Obs.Metrics.depth_bounds;
+  }
+
+let observe h v = Obs.Metrics.Histogram.observe_int (Lazy.force h) v
+
 (* Reply batches must not sit in Nagle's buffer waiting for a delayed
    ACK; harmless no-op on Unix-domain sockets. *)
 let set_nodelay fd =
@@ -136,7 +165,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
   let queue_hi = max 4096 queue_hi in
   let queue_lo = max 1 (queue_hi / 4) in
   let owner = Array.init s (fun i -> i mod nd) in
-  let reg_for i = match metrics with None -> None | Some f -> Some (f i) in
+  let obs = Array.init s (fun i -> Option.map (fun f -> slot_obs (f i)) metrics) in
   let fresh i = P.obj_init ~cfg ~index:indices.(i) in
   let mutex = Mutex.create () in
   let cond = Condition.create () in
@@ -150,18 +179,18 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
      materialized on first contact.  A table is only ever touched by the
      slot's owning domain (the same invariant [steppers] asserts for the
      automata), so no lock guards it. *)
-  let objs : (int, P.obj ref) Hashtbl.t array =
+  let objs : P.obj ref Keys.t array =
     Array.init s (fun i ->
-        let tbl = Hashtbl.create 16 in
-        Hashtbl.replace tbl 0 (ref (fresh i));
+        let tbl = Keys.create 16 in
+        Keys.replace tbl 0 (ref (fresh i));
         tbl)
   in
   let obj_for i key =
-    match Hashtbl.find_opt objs.(i) key with
+    match Keys.find_opt objs.(i) key with
     | Some r -> r
     | None ->
         let r = ref (fresh i) in
-        Hashtbl.replace objs.(i) key r;
+        Keys.replace objs.(i) key r;
         r
   in
   let listeners = Array.make s None in
@@ -300,20 +329,10 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     let conns : (Unix.file_descr, gconn) Hashtbl.t = Hashtbl.create 16 in
     let draining : (int, float) Hashtbl.t = Hashtbl.create 4 in
     let resumed : gconn list ref = ref [] in
+    let me = (Domain.self () :> int) in
+    (* Rare events (connections, decode errors, stalls) count by name. *)
     let count i name =
-      match reg_for i with None -> () | Some reg -> Obs.Metrics.incr reg name
-    in
-    let meter i stage m =
-      match reg_for i with
-      | None -> ()
-      | Some reg ->
-          Obs.Metrics.incr reg
-            ("wire." ^ Obs.Wire.to_string (P.msg_class m) ^ "." ^ stage)
-    in
-    let observe i name bounds v =
-      match reg_for i with
-      | None -> ()
-      | Some reg -> Obs.Metrics.observe_int reg name ~bounds v
+      match obs.(i) with None -> () | Some o -> Obs.Metrics.incr o.reg name
     in
     let slot_has_conns i =
       Hashtbl.fold (fun _ c acc -> acc || c.gobj = i) conns false
@@ -339,16 +358,20 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
         let stalled_us =
           int_of_float ((Unix.gettimeofday () -. c.gpause_at) *. 1e6)
         in
-        observe c.gobj "wire.backpressure_stalls" Obs.Metrics.wallclock_bounds
-          (max 0 stalled_us);
+        (match obs.(c.gobj) with
+        | None -> ()
+        | Some o ->
+            Obs.Metrics.observe_int o.reg "wire.backpressure_stalls"
+              ~bounds:Obs.Metrics.wallclock_bounds (max 0 stalled_us));
         resumed := c :: !resumed
       end
     in
     let append_frame c fr =
       let before = Codec.Out.length c.gout in
       Codec.encode_frame_into codec c.gout fr;
-      observe c.gobj "wire.bytes_per_frame" Obs.Metrics.bytes_bounds
-        (Codec.Out.length c.gout - before);
+      (match obs.(c.gobj) with
+      | None -> ()
+      | Some o -> observe o.frame_bytes (Codec.Out.length c.gout - before));
       c.gframes <- c.gframes + 1;
       if (not c.gpaused) && Codec.Out.pending c.gout > queue_hi then begin
         c.gpaused <- true;
@@ -357,10 +380,13 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     in
     let try_flush c =
       if Codec.Out.pending c.gout > 0 then begin
-        observe c.gobj "wire.queue_depth" Obs.Metrics.depth_bounds c.gframes;
+        let o = obs.(c.gobj) in
+        (match o with None -> () | Some o -> observe o.queue_depth c.gframes);
         match Codec.flush_nonblock c.gfd c.gout with
         | `Done ->
-            observe c.gobj "wire.batch_size" Obs.Metrics.batch_bounds c.gframes;
+            (match o with
+            | None -> ()
+            | Some o -> observe o.batch_size c.gframes);
             c.gframes <- 0;
             unpause c;
             if c.gclosing then close_conn c
@@ -377,7 +403,6 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
          lives in its slot's table), so the per-slot check covers every
          keyed automaton too. *)
       if owner.(i) <> d then Atomic.incr violations;
-      let me = (Domain.self () :> int) in
       let st = steppers.(i) in
       (match Atomic.get st with
       | -1 ->
@@ -390,13 +415,15 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
       let obj', reply = P.obj_handle !slot ~src m in
       slot := obj';
       Atomic.incr msg_counts.(i);
-      count i "net.server.messages";
-      meter i "delivered" m;
-      match reply with
-      | Some r ->
-          meter i "sent" r;
-          append_frame c (wrap r)
+      (match obs.(i) with
       | None -> ()
+      | Some o ->
+          Obs.Metrics.counter_incr (Lazy.force o.messages);
+          Obs.Wire.incr o.delivered (P.msg_class m);
+          (match reply with
+          | Some r -> Obs.Wire.incr o.sent (P.msg_class r)
+          | None -> ()));
+      match reply with Some r -> append_frame c (wrap r) | None -> ()
     in
     let on_frame c = function
       | Codec.Hello { proto; sender; obj = dialed } ->
@@ -689,8 +716,8 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     locked (fun () ->
         if alive.(i) then invalid_arg "Server.restart: server still alive";
         if wipe then begin
-          Hashtbl.reset objs.(i);
-          Hashtbl.replace objs.(i) 0 (ref (fresh i))
+          Keys.reset objs.(i);
+          Keys.replace objs.(i) 0 (ref (fresh i))
         end;
         let fd, actual = listen_on actuals.(i) in
         Unix.set_nonblock fd;

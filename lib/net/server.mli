@@ -66,8 +66,11 @@ val start_group :
     frames are never truncated mid-frame; {!crash} closes immediately.
     Domains exit once every slot they serve has stopped and are
     respawned by the first {!restart}.  [metrics] maps a 0-based slot
-    to its registry; a slot's registry is only ever touched by its
-    owning worker domain.
+    to its registry; it is called once per slot at start, and a slot's
+    registry is only ever touched by its owning worker domain.  Every
+    per-message metric is a handle resolved on its first use, so no
+    metric name is built per message and a metric never touched stays
+    absent, as with by-name updates.
     @raise Unix.Unix_error if an endpoint cannot be bound (all bound
     listeners are closed). *)
 

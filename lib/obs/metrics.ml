@@ -1,11 +1,17 @@
 module Histogram = struct
+  (* The float statistics sit in an all-float record, which OCaml stores
+     flat: updating them on every observation allocates nothing. *)
+  type stats = {
+    mutable sum : float;
+    mutable minv : float;
+    mutable maxv : float;
+  }
+
   type t = {
     bounds : float array;  (* strictly increasing inclusive upper bounds *)
     counts : int array;  (* length = Array.length bounds + 1 (overflow) *)
     mutable total : int;
-    mutable sum : float;
-    mutable minv : float;
-    mutable maxv : float;
+    f : stats;
   }
 
   let create ~bounds =
@@ -19,48 +25,45 @@ module Histogram = struct
       bounds = Array.copy bounds;
       counts = Array.make (n + 1) 0;
       total = 0;
-      sum = 0.0;
-      minv = infinity;
-      maxv = neg_infinity;
+      f = { sum = 0.0; minv = infinity; maxv = neg_infinity };
     }
 
   let bounds t = Array.copy t.bounds
 
   (* First bucket whose upper bound is >= x; the extra slot is the
-     overflow bucket (x above every bound). *)
-  let bucket_index t x =
-    let n = Array.length t.bounds in
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if x <= t.bounds.(mid) then search lo mid else search (mid + 1) hi
-    in
-    search 0 n
+     overflow bucket (x above every bound).  A loop rather than a local
+     recursive function, and inlined, so [x] is never boxed. *)
+  let[@inline] bucket_index t x =
+    let lo = ref 0 and hi = ref (Array.length t.bounds) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if x <= t.bounds.(mid) then hi := mid else lo := mid + 1
+    done;
+    !lo
 
-  let observe t x =
+  let[@inline] observe t x =
     let i = bucket_index t x in
     t.counts.(i) <- t.counts.(i) + 1;
     t.total <- t.total + 1;
-    t.sum <- t.sum +. x;
-    if x < t.minv then t.minv <- x;
-    if x > t.maxv then t.maxv <- x
+    t.f.sum <- t.f.sum +. x;
+    if x < t.f.minv then t.f.minv <- x;
+    if x > t.f.maxv then t.f.maxv <- x
 
   let observe_int t x = observe t (float_of_int x)
 
   let count t = t.total
 
-  let sum t = t.sum
+  let sum t = t.f.sum
 
-  let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
+  let mean t = if t.total = 0 then 0.0 else t.f.sum /. float_of_int t.total
 
   let min_exn t =
     if t.total = 0 then invalid_arg "Histogram.min_exn: empty";
-    t.minv
+    t.f.minv
 
   let max_exn t =
     if t.total = 0 then invalid_arg "Histogram.max_exn: empty";
-    t.maxv
+    t.f.maxv
 
   let counts t = Array.copy t.counts
 
@@ -80,9 +83,9 @@ module Histogram = struct
     let t = create ~bounds:a.bounds in
     Array.iteri (fun i c -> t.counts.(i) <- c + b.counts.(i)) a.counts;
     t.total <- a.total + b.total;
-    t.sum <- a.sum +. b.sum;
-    t.minv <- Float.min a.minv b.minv;
-    t.maxv <- Float.max a.maxv b.maxv;
+    t.f.sum <- a.f.sum +. b.f.sum;
+    t.f.minv <- Float.min a.f.minv b.f.minv;
+    t.f.maxv <- Float.max a.f.maxv b.f.maxv;
     t
 
   let equal a b =
@@ -106,9 +109,9 @@ module Histogram = struct
       counts;
     t.total <- !total;
     if !total > 0 then begin
-      t.sum <- sum;
-      t.minv <- minv;
-      t.maxv <- maxv
+      t.f.sum <- sum;
+      t.f.minv <- minv;
+      t.f.maxv <- maxv
     end;
     t
 
@@ -125,7 +128,7 @@ module Histogram = struct
     let n = Array.length t.bounds in
     let rec walk i cum =
       let cum = cum + t.counts.(i) in
-      if cum >= rank || i = n then if i = n then t.maxv else t.bounds.(i)
+      if cum >= rank || i = n then if i = n then t.f.maxv else t.bounds.(i)
       else walk (i + 1) cum
     in
     walk 0 0
@@ -227,7 +230,8 @@ let histogram t name ~bounds =
 
 let observe t name ~bounds x = Histogram.observe (histogram t name ~bounds) x
 
-let observe_int t name ~bounds x = observe t name ~bounds (float_of_int x)
+let observe_int t name ~bounds x =
+  Histogram.observe_int (histogram t name ~bounds) x
 
 let find_histogram t name = Hashtbl.find_opt t.histograms name
 

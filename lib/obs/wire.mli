@@ -28,3 +28,20 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
+
+(** {2 Per-class counter handles}
+
+    Message meters on a hot path count ["wire.<class>.<stage>"] per
+    message.  [counters reg ~stage] resolves each class's counter in
+    [reg] once, on the class's first message, so no metric name is built
+    per message and a class never seen stays absent from the registry —
+    exactly as with {!Metrics.incr} by name.  One value is not safe to
+    share between domains. *)
+
+type counters
+
+val counters : Metrics.t -> stage:string -> counters
+
+val incr : counters -> t -> unit
+(** [incr m c] bumps ["wire." ^ to_string c ^ "." ^ stage] in [m]'s
+    registry. *)

@@ -117,7 +117,7 @@ type 'msg meters = {
   mutable c_events : Obs.Metrics.counter option;
   mutable h_depth : Obs.Metrics.Histogram.t option;
   mutable h_wall : Obs.Metrics.Histogram.t option;
-  wire : (Obs.Wire.t * int, Obs.Metrics.counter) Hashtbl.t;
+  wire : Obs.Wire.counters array;  (* per stage, by [stage_rank] *)
 }
 
 type 'msg t = {
@@ -159,7 +159,10 @@ let create ?trace ?(msg_info = fun _ -> "msg") ?metrics ?classify ?clock ~seed
           c_events = None;
           h_depth = None;
           h_wall = None;
-          wire = Hashtbl.create 16;
+          wire =
+            Array.map
+              (fun st -> Obs.Wire.counters reg ~stage:(stage_name st))
+              [| Sent; Delivered; Dropped |];
         })
       metrics
   in
@@ -202,18 +205,6 @@ let direction_counter ms stage =
       | Dropped -> ms.c_dropped <- Some c);
       c
 
-let wire_counter ms stage w =
-  let key = (w, stage_rank stage) in
-  match Hashtbl.find_opt ms.wire key with
-  | Some c -> c
-  | None ->
-      let c =
-        Obs.Metrics.counter ms.reg
-          ("wire." ^ Obs.Wire.to_string w ^ "." ^ stage_name stage)
-      in
-      Hashtbl.replace ms.wire key c;
-      c
-
 (* Per-class message counters ("wire.read.r1.req.sent", ...) when the
    scenario supplied a classifier; the direction-level counters are
    recorded unconditionally. *)
@@ -225,7 +216,7 @@ let meter_msg t stage msg =
       (match ms.classify with
       | None -> ()
       | Some classify ->
-          Obs.Metrics.counter_incr (wire_counter ms stage (classify msg)))
+          Obs.Wire.incr ms.wire.(stage_rank stage) (classify msg))
 
 let rng t = t.rng
 

@@ -456,6 +456,47 @@ let out_reuse_is_clean =
         (String.concat ""
            (List.map (Net.Codec.encode_frame Net.Codec.messages) second)))
 
+(* Broadcast encodes a round's frame once and appends those bytes to
+   every member connection's batch: each batch must end up exactly as if
+   the frame had been encoded into it directly, whatever it held
+   before. *)
+let append_equals_encode =
+  QCheck.Test.make
+    ~name:"Out.append of a once-encoded frame = per-connection encode"
+    ~count:300
+    QCheck.(pair (list_of_size Gen.(1 -- 4) (list_of_size Gen.(0 -- 3) arb_frame)) arb_frame)
+    (fun (batches, f) ->
+      let frame = Net.Codec.Out.create () in
+      Net.Codec.encode_frame_into Net.Codec.messages frame f;
+      List.for_all
+        (fun before ->
+          let direct = Net.Codec.Out.create ()
+          and appended = Net.Codec.Out.create () in
+          List.iter
+            (fun g ->
+              Net.Codec.encode_frame_into Net.Codec.messages direct g;
+              Net.Codec.encode_frame_into Net.Codec.messages appended g)
+            before;
+          Net.Codec.encode_frame_into Net.Codec.messages direct f;
+          Net.Codec.Out.append appended ~src:frame;
+          String.equal
+            (Net.Codec.Out.contents direct)
+            (Net.Codec.Out.contents appended))
+        batches)
+
+let append_grows_buffer () =
+  (* a frame larger than the target's buffer must grow it, not
+     truncate *)
+  let big = Net.Codec.Err (String.make 200_000 'x') in
+  let frame = Net.Codec.Out.create () and out = Net.Codec.Out.create () in
+  Net.Codec.encode_frame_into Net.Codec.messages frame big;
+  Net.Codec.encode_frame_into Net.Codec.messages out (Net.Codec.Err "tiny");
+  Net.Codec.Out.append out ~src:frame;
+  Alcotest.(check string) "appended bytes"
+    (Net.Codec.encode_frame Net.Codec.messages (Net.Codec.Err "tiny")
+    ^ Net.Codec.encode_frame Net.Codec.messages big)
+    (Net.Codec.Out.contents out)
+
 let reader_shrinks_after_large_frame () =
   (* a single huge frame must not pin the reader's peak capacity: once
      it drains, the buffer drops back to a pool-class size *)
@@ -537,6 +578,9 @@ let suite =
       QCheck_alcotest.to_alcotest reader_survives_garbage;
       QCheck_alcotest.to_alcotest batched_equals_unbatched;
       QCheck_alcotest.to_alcotest out_reuse_is_clean;
+      QCheck_alcotest.to_alcotest append_equals_encode;
+      Alcotest.test_case "Out.append grows the target buffer" `Quick
+        append_grows_buffer;
       Alcotest.test_case "Reader shrinks after a large frame" `Quick
         reader_shrinks_after_large_frame;
       Alcotest.test_case "oversized length prefix rejected" `Quick oversized_rejected;
