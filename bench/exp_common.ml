@@ -84,6 +84,71 @@ let run ?(max_events = 2_000_000) ~seed ~delay ~crashes ~use_byz
     safety_violations = List.length violations;
   }
 
+(* ----- environment knobs: a malformed value exits 2 ----- *)
+
+let getenv_int ?(min = 1) name default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n >= min -> n
+      | _ ->
+          if min = 1 then
+            Printf.eprintf "%s expects a positive integer (got %S)\n" name s
+          else
+            Printf.eprintf "%s expects an integer >= %d (got %S)\n" name min s;
+          exit 2)
+
+let getenv_float name default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+      match float_of_string_opt s with
+      | Some f when f >= 0.0 -> f
+      | _ ->
+          Printf.eprintf "%s expects a nonnegative float (got %S)\n" name s;
+          exit 2)
+
+(* A comma-separated list; [parse] returns [None] on a bad item. *)
+let getenv_list name default parse =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s ->
+      String.split_on_char ',' s
+      |> List.filter (fun x -> String.trim x <> "")
+      |> List.map (fun x ->
+             match parse (String.trim x) with
+             | Some v -> v
+             | None ->
+                 Printf.eprintf "%s: cannot parse %S\n" name s;
+                 exit 2)
+
+(* An item parser for [getenv_list]: integers [>= min]. *)
+let int_at_least min s =
+  match int_of_string_opt s with Some n when n >= min -> Some n | _ -> None
+
+let transport name default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+      match String.lowercase_ascii (String.trim s) with
+      | "tcp" -> `Tcp
+      | "unix" -> `Unix
+      | _ ->
+          Printf.eprintf "%s expects tcp or unix (got %S)\n" name s;
+          exit 2)
+
+let transport_name = function `Tcp -> "tcp" | `Unix -> "unix"
+
+let summary_json buf label (s : Stats.Summary.t) =
+  Printf.bprintf buf
+    "\"%s\": { \"count\": %d, \"p50_us\": %.0f, \"p99_us\": %.0f, \
+     \"mean_us\": %.1f, \"max_us\": %.0f }"
+    label (Stats.Summary.count s)
+    (Stats.Summary.percentile s 50.)
+    (Stats.Summary.percentile s 99.)
+    (Stats.Summary.mean s) (Stats.Summary.max s)
+
 let section title =
   Printf.printf "\n=== %s ===\n" title
 

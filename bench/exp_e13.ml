@@ -24,29 +24,6 @@
      E13_JOBS (2,4,8) comma-separated domain counts to benchmark
      E13_OUT  (BENCH_e13.json) output path *)
 
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> n
-      | _ ->
-          Printf.eprintf "%s expects a positive integer (got %S)\n" name s;
-          exit 2)
-  | None -> default
-
-let jobs_list () =
-  match Sys.getenv_opt "E13_JOBS" with
-  | None -> [ 2; 4; 8 ]
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter (fun x -> String.trim x <> "")
-      |> List.map (fun x ->
-             match int_of_string_opt (String.trim x) with
-             | Some n when n >= 1 -> n
-             | _ ->
-                 Printf.eprintf "E13_JOBS expects e.g. \"2,4,8\" (got %S)\n" s;
-                 exit 2)
-
 let timed f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -119,9 +96,11 @@ let single_run ~metrics () =
   rep.messages_delivered
 
 let run () =
-  let seeds_n = getenv_int "E13_SEEDS" 20 in
-  let plans = getenv_int "E13_PLANS" 3 in
-  let jobs = jobs_list () in
+  let seeds_n = Exp_common.getenv_int "E13_SEEDS" 20 in
+  let plans = Exp_common.getenv_int "E13_PLANS" 3 in
+  let jobs =
+    Exp_common.getenv_list "E13_JOBS" [ 2; 4; 8 ] (Exp_common.int_at_least 1)
+  in
   let out = Option.value (Sys.getenv_opt "E13_OUT") ~default:"BENCH_e13.json" in
   let cores = Exec.Pool.recommended_jobs () in
   Exp_common.section

@@ -23,31 +23,8 @@
      E14_READERS  (1,2,4)      concurrent-reader sweep
      E14_OUT      (BENCH_e14.json) output path *)
 
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> n
-      | _ ->
-          Printf.eprintf "%s expects a positive integer (got %S)\n" name s;
-          exit 2)
-  | None -> default
-
-let getenv_list name default parse =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter (fun x -> String.trim x <> "")
-      |> List.map (fun x ->
-             match parse (String.trim x) with
-             | Some v -> v
-             | None ->
-                 Printf.eprintf "%s: cannot parse %S\n" name s;
-                 exit 2)
-
 let cfgs () =
-  getenv_list "E14_CFGS"
+  Exp_common.getenv_list "E14_CFGS"
     [ (4, 1, 0); (7, 2, 1) ]
     (fun s ->
       match String.split_on_char ':' s |> List.map int_of_string_opt with
@@ -55,8 +32,7 @@ let cfgs () =
       | _ -> None)
 
 let reader_counts () =
-  getenv_list "E14_READERS" [ 1; 2; 4 ] (fun s ->
-      match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
+  Exp_common.getenv_list "E14_READERS" [ 1; 2; 4 ] (Exp_common.int_at_least 1)
 
 let protocols =
   [ Net.Protocols.safe; Net.Protocols.regular; Net.Protocols.abd ]
@@ -67,18 +43,9 @@ let ok_exn what = function
       Printf.eprintf "E14: %s failed: %s\n" what e;
       exit 1
 
-let summary_json buf label (s : Stats.Summary.t) =
-  Printf.bprintf buf
-    "\"%s\": { \"count\": %d, \"p50_us\": %.0f, \"p99_us\": %.0f, \
-     \"mean_us\": %.1f, \"max_us\": %.0f }"
-    label (Stats.Summary.count s)
-    (Stats.Summary.percentile s 50.)
-    (Stats.Summary.percentile s 99.)
-    (Stats.Summary.mean s) (Stats.Summary.max s)
-
 let run () =
-  let ops = getenv_int "E14_OPS" 300 in
-  let writes = getenv_int "E14_WRITES" 20 in
+  let ops = Exp_common.getenv_int "E14_OPS" 300 in
+  let writes = Exp_common.getenv_int "E14_WRITES" 20 in
   let out = Option.value (Sys.getenv_opt "E14_OUT") ~default:"BENCH_e14.json" in
   let reader_counts = reader_counts () in
   let max_readers = List.fold_left max 1 reader_counts in
@@ -164,9 +131,9 @@ let run () =
           Printf.bprintf buf
             "    { \"protocol\": \"%s\", \"s\": %d, \"t\": %d, \"b\": %d,\n      "
             name s t b;
-          summary_json buf "write" wlat;
+          Exp_common.summary_json buf "write" wlat;
           Buffer.add_string buf ",\n      ";
-          summary_json buf "read" rlat;
+          Exp_common.summary_json buf "read" rlat;
           Printf.bprintf buf
             ",\n      \"read_ops_per_s\": %.1f, \"fast_read_fraction\": %.3f,\n"
             (float_of_int ops /. wall)

@@ -31,32 +31,9 @@
      E15_TRANSPORT (tcp)           loopback transport: tcp | unix
      E15_OUT       (BENCH_e15.json) output path *)
 
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> n
-      | _ ->
-          Printf.eprintf "%s expects a positive integer (got %S)\n" name s;
-          exit 2)
-  | None -> default
-
-let getenv_list name default parse =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter (fun x -> String.trim x <> "")
-      |> List.map (fun x ->
-             match parse (String.trim x) with
-             | Some v -> v
-             | None ->
-                 Printf.eprintf "%s: cannot parse %S\n" name s;
-                 exit 2)
-
 let inflight_levels () =
-  getenv_list "E15_INFLIGHT" [ 1; 4; 16; 64 ] (fun s ->
-      match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
+  Exp_common.getenv_list "E15_INFLIGHT" [ 1; 4; 16; 64 ]
+    (Exp_common.int_at_least 1)
 
 let ok_exn what = function
   | Ok o -> o
@@ -64,33 +41,13 @@ let ok_exn what = function
       Printf.eprintf "E15: %s failed: %s\n" what e;
       exit 1
 
-let summary_json buf label (s : Stats.Summary.t) =
-  Printf.bprintf buf
-    "\"%s\": { \"count\": %d, \"p50_us\": %.0f, \"p99_us\": %.0f, \
-     \"mean_us\": %.1f, \"max_us\": %.0f }"
-    label (Stats.Summary.count s)
-    (Stats.Summary.percentile s 50.)
-    (Stats.Summary.percentile s 99.)
-    (Stats.Summary.mean s) (Stats.Summary.max s)
-
-let transport () =
-  match Sys.getenv_opt "E15_TRANSPORT" with
-  | None -> `Tcp
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "tcp" -> `Tcp
-      | "unix" -> `Unix
-      | _ ->
-          Printf.eprintf "E15_TRANSPORT expects tcp or unix (got %S)\n" s;
-          exit 2)
-
 let run () =
-  let ops = getenv_int "E15_OPS" 2000 in
-  let trials = getenv_int "E15_TRIALS" 3 in
+  let ops = Exp_common.getenv_int "E15_OPS" 2000 in
+  let trials = Exp_common.getenv_int "E15_TRIALS" 3 in
   let out = Option.value (Sys.getenv_opt "E15_OUT") ~default:"BENCH_e15.json" in
   let levels = inflight_levels () in
-  let transport = transport () in
-  let transport_name = match transport with `Tcp -> "tcp" | `Unix -> "unix" in
+  let transport = Exp_common.transport "E15_TRANSPORT" `Tcp in
+  let transport_name = Exp_common.transport_name transport in
   let protocol = Net.Protocols.safe in
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:0 in
   let buf = Buffer.create 4096 in
@@ -217,7 +174,7 @@ let run () =
             "    { \"serial\": { \"ops\": %d, \"wall_s\": %.4f, \
              \"ops_per_s\": %.1f,\n        "
             ops serial_wall serial_rate;
-          summary_json buf "latency" slat;
+          Exp_common.summary_json buf "latency" slat;
           Printf.bprintf buf " },\n      \"pipelined\": [\n";
           List.iteri
             (fun i (inflight, wall, rate, plat, failures) ->
@@ -225,7 +182,7 @@ let run () =
                 "        { \"max_inflight\": %d, \"ops\": %d, \"wall_s\": \
                  %.4f, \"ops_per_s\": %.1f, \"failures\": %d,\n          "
                 inflight ops wall rate failures;
-              summary_json buf "latency" plat;
+              Exp_common.summary_json buf "latency" plat;
               Printf.bprintf buf " }%s\n"
                 (if i = List.length sweep - 1 then "" else ","))
             sweep;

@@ -1,7 +1,7 @@
 (* Benchmark & experiment harness.
 
      dune exec bench/main.exe                 # every experiment + micro
-     dune exec bench/main.exe -- tables       # E1..E7
+     dune exec bench/main.exe -- tables       # E1..E20
      dune exec bench/main.exe -- tables e3    # one experiment
      dune exec bench/main.exe -- micro        # bechamel micro-benchmarks
 

@@ -403,23 +403,11 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
   let session = if readers > 0 then rnames.(0) else "w" in
   let sender_of sl = if sl.sidx < 0 then "w" else rnames.(sl.sidx) in
   let reader_of sl = if sl.sidx < 0 then 0 else first_reader + sl.sidx in
-  (* In-place parse of an echoed "r<j>": one call per reply frame, so no
-     [String.sub].  The pool index, or -2 for a sender outside the pool
-     (another client's reader: a stale reply). *)
+  (* The pool index of an echoed "r<j>", or -2 for a sender outside the
+     pool (another client's reader: a stale reply). *)
   let pool_index sender =
-    let len = String.length sender in
-    let rec go i acc =
-      if i >= len then acc
-      else
-        match sender.[i] with
-        | '0' .. '9' when acc < 0x3FFFFFF ->
-            go (i + 1) ((acc * 10) + (Char.code sender.[i] - Char.code '0'))
-        | _ -> -1
-    in
-    if len >= 2 && sender.[0] = 'r' then
-      let idx = go 1 0 - first_reader in
-      if idx >= 0 && idx < readers then idx else -2
-    else -2
+    let idx = Codec.sender_id 'r' sender - first_reader in
+    if idx >= 0 && idx < readers then idx else -2
   in
   (* The select set and its fd -> connection pairs, rebuilt only after a
      connection came up or went down. *)

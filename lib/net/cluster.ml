@@ -1,15 +1,5 @@
-(* One client engine as the cluster drives it, with the recorder handles
-   of the operations it has open. *)
-type engine = {
-  client : Client.t;
-  registry : Obs.Metrics.t option;
-  (* Open ops by (key, write, reader id): a timed-out op stays open, and
-     the op that resumes its slot responds to the original invocation. *)
-  open_ops : (int * bool * int, Histories.Recorder.op_handle) Hashtbl.t;
-  (* Coalesced reads overlap their lead on the same slot, so they get
-     handles of their own, keyed by op index (they never park). *)
-  joined : (int, Histories.Recorder.op_handle) Hashtbl.t;
-}
+(* One client engine as the cluster drives it, with its registry. *)
+type engine = { client : Client.t; registry : Obs.Metrics.t option }
 
 (* The pipelined and keyed engines are created on first use and cached:
    their slots carry parked (timed-out) operations across calls, so
@@ -31,22 +21,16 @@ type t = {
   readers : engine array;
   mutable mux : cached option;
   mutable keyed : cached option;
-  (* Per-key histories of the keyed engine, for sampled keys: each key
-     is its own register. *)
-  keyed_recorders : (int, string Histories.Recorder.t) Hashtbl.t;
+  (* The single register's history (key 0), and the keyed engine's
+     per-key histories, restarted whenever that engine is rebuilt. *)
+  record : Record.t;
+  mutable keyed_record : Record.t;
   (* Base objects keep per-reader round state, so reader ids are never
      reused across engine generations: each new engine gets a fresh
      range. *)
   mutable next_rid : int;
-  (* Recorder reader ids for coalesced reads: the recorder insists each
-     concurrently-open read has a distinct reader, and joined reads
-     overlap their lead by construction.  Starts far above any real
-     reader id so the ranges can never collide. *)
-  mutable next_jrid : int;
   copts : Client.opts option;
   protocol : Protocols.t;
-  recorder : string Histories.Recorder.t;
-  rec_mutex : Mutex.t;
   now_us : unit -> int;
   tmpdir : string option;
   with_metrics : bool;
@@ -54,12 +38,7 @@ type t = {
 
 let engine ~with_metrics connect =
   let registry = if with_metrics then Some (Obs.Metrics.create ()) else None in
-  {
-    client = connect registry;
-    registry;
-    open_ops = Hashtbl.create 16;
-    joined = Hashtbl.create 16;
-  }
+  { client = connect registry; registry }
 
 let tmp_counter = ref 0
 
@@ -140,96 +119,26 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
     readers = Array.init readers (fun j -> slot (`Reader (j + 1)));
     mux = None;
     keyed = None;
-    keyed_recorders = Hashtbl.create 64;
+    record = Record.create ();
+    keyed_record = Record.create ();
     next_rid = readers + 1;
-    next_jrid = 1_000_000;
     copts = opts;
     protocol;
-    recorder = Histories.Recorder.create ();
-    rec_mutex = Mutex.create ();
     now_us;
     tmpdir;
     with_metrics = metrics;
   }
 
-let locked t f =
-  Mutex.lock t.rec_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.rec_mutex) f
-
-let result_of (o : Client.outcome) =
-  match o.value with
-  | Some (Core.Value.V s) -> Histories.Op.Value s
-  | Some Core.Value.Bottom | None -> Histories.Op.Bottom
-
-(* Record one engine event in [recorder key]'s history ([None]: the key
-   is not sampled).  Ops are recorded at their real invoke/respond
-   instants, so the checkers see the true concurrency. *)
-let record t e ~recorder ops ev =
-  match ev with
-  | Client.Invoke { op; key; write; reader; joined; at_us } -> (
-      match recorder key with
-      | None -> ()
-      | Some r ->
-          if joined then begin
-            (* A coalesced read overlaps its lead, so it needs a
-               recorder reader id of its own (the recorder allows one
-               open op per reader). *)
-            let jrid = t.next_jrid in
-            t.next_jrid <- jrid + 1;
-            Hashtbl.replace e.joined op
-              (Histories.Recorder.invoke_read r ~time:at_us ~reader:jrid)
-          end
-          else if not (Hashtbl.mem e.open_ops (key, write, reader)) then
-            (* (an open entry means a parked op is being resumed: its
-               invocation stands) *)
-            Hashtbl.replace e.open_ops (key, write, reader)
-              (match ops.(op) with
-              | Client.Write { value; _ } ->
-                  Histories.Recorder.invoke_write r ~time:at_us
-                    (Core.Value.to_string value)
-              | Client.Read _ ->
-                  Histories.Recorder.invoke_read r ~time:at_us ~reader))
-  | Client.Respond { op; key; write; reader; joined; at_us; outcome } -> (
-      let h =
-        if joined then Hashtbl.find_opt e.joined op
-        else Hashtbl.find_opt e.open_ops (key, write, reader)
-      in
-      (* joined ops never park; a failed lead stays open for the op that
-         resumes it *)
-      if joined then Hashtbl.remove e.joined op;
-      match (recorder key, h, outcome) with
-      | Some r, Some h, Ok o ->
-          if not joined then Hashtbl.remove e.open_ops (key, write, reader);
-          if write then Histories.Recorder.respond_write r h ~time:at_us
-          else Histories.Recorder.respond_read r h ~time:at_us (result_of o)
-      | _ -> ())
-
-(* Events fire on the pump's hot path, once per op start and finish:
-   take the mutex directly instead of allocating a [locked] thunk per
-   event.  Recorder calls raise only on misuse bugs; the handler
-   re-raises with the mutex released so the failure stays loud. *)
-let run t e ~recorder ops =
-  let on_event ev =
-    Mutex.lock t.rec_mutex;
-    (try record t e ~recorder ops ev
-     with ex ->
-       Mutex.unlock t.rec_mutex;
-       raise ex);
-    Mutex.unlock t.rec_mutex
-  in
-  Client.run_ops ~on_event e.client ops
-
-let main_history t _ = Some t.recorder
+let run e record ops =
+  Client.run_ops ~on_event:(Record.tap record ops) e.client ops
 
 let write t value =
-  (run t t.writer ~recorder:(main_history t)
-     [| Client.Write { key = 0; value } |]).(0)
+  (run t.writer t.record [| Client.Write { key = 0; value } |]).(0)
 
 let read t ~reader =
   if reader < 1 || reader > Array.length t.readers then
     invalid_arg (Printf.sprintf "Cluster.read: reader %d" reader);
-  (run t t.readers.(reader - 1) ~recorder:(main_history t)
-     [| Client.Read { key = 0 } |]).(0)
+  (run t.readers.(reader - 1) t.record [| Client.Read { key = 0 } |]).(0)
 
 (* A cached engine is reused while its parameters hold; otherwise it is
    closed and a fresh one takes a fresh reader-id range. *)
@@ -261,11 +170,9 @@ let read_pipelined ?(coalesce = 1) t ~inflight ~ops =
           ~protocol:t.protocol ~cfg:t.cfg ~readers:inflight t.endpoints)
   in
   t.mux <- Some m;
-  run t m.c_engine ~recorder:(main_history t)
-    (Array.make ops (Client.Read { key = 0 }))
+  run m.c_engine t.record (Array.make ops (Client.Read { key = 0 }))
 
-let run_keyed ?(inflight = 16) ?(coalesce = 1) ?(sample = fun _ -> true) t ~map
-    ops =
+let run_keyed ?(inflight = 16) ?(coalesce = 1) ?sample t ~map ops =
   if Shard.Map.fleet map <> Array.length t.endpoints then
     invalid_arg
       (Printf.sprintf "Cluster.run_keyed: map fleet %d, cluster has %d"
@@ -283,26 +190,11 @@ let run_keyed ?(inflight = 16) ?(coalesce = 1) ?(sample = fun _ -> true) t ~map
   (* a rebuilt engine starts fresh per-key histories *)
   (match t.keyed with
   | Some c when c == k -> ()
-  | Some _ | None -> Hashtbl.reset t.keyed_recorders);
+  | Some _ | None -> t.keyed_record <- Record.create ?sample ());
   t.keyed <- Some k;
-  let recorder key =
-    if not (sample key) then None
-    else
-      match Hashtbl.find_opt t.keyed_recorders key with
-      | Some r -> Some r
-      | None ->
-          let r = Histories.Recorder.create () in
-          Hashtbl.replace t.keyed_recorders key r;
-          Some r
-  in
-  run t k.c_engine ~recorder ops
+  run k.c_engine t.keyed_record ops
 
-let keyed_histories t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun key r acc -> (key, Histories.Recorder.ops r) :: acc)
-        t.keyed_recorders []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+let keyed_histories t = Record.histories t.keyed_record
 
 let keys_touched t =
   match t.keyed with None -> 0 | Some k -> Client.keys_touched k.c_engine.client
@@ -352,7 +244,7 @@ let endpoints t = t.endpoints
 
 let cfg t = t.cfg
 
-let history t = locked t (fun () -> Histories.Recorder.ops t.recorder)
+let history t = Record.history t.record 0
 
 (* Writer, serial readers, then the cached pipelined and keyed engines. *)
 let engines t =

@@ -5,7 +5,7 @@
     objects in one {!Server} group (Unix-domain sockets in a private
     temp directory by default, TCP on demand), connects the single
     writer and [readers] reader {!Client}s, and records every operation
-    into a {!Histories.Recorder} so the paper's safety/regularity/
+    through a {!Record} so the paper's safety/regularity/
     wait-freedom checkers run on live histories exactly as they do on
     simulated ones.
 
@@ -87,6 +87,8 @@ val run_keyed :
     count.  Each key sampled by [sample] (default: all) records into
     its own per-key history — each key is an independent register, so
     the single-register checkers apply per key ({!keyed_histories}).
+    [sample] is read when the keyed client is built; the histories
+    start afresh whenever it is rebuilt.
     [inflight] (default 16) caps concurrently progressing operations;
     [coalesce] (default 1 = off) is {!Client.Keyed.connect}'s per-key
     read-coalescing cap, and coalesced reads record under fresh

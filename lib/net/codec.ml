@@ -645,11 +645,24 @@ let decode_payload c s =
   decode_payload_dec c
     { src = Bytes.unsafe_of_string s; pos = 0; limit = String.length s }
 
+(* In place: one call per frame on both ends, so no [String.sub]. *)
+let sender_id c s =
+  let len = String.length s in
+  let rec go i acc =
+    if i >= len then acc
+    else
+      match s.[i] with
+      | '0' .. '9' when acc < 0x3FFFFFF ->
+          go (i + 1) ((acc * 10) + (Char.code s.[i] - Char.code '0'))
+      | _ -> -1
+  in
+  if len >= 2 && s.[0] = c then go 1 0 else -1
+
 (* ----- protocol-independent peeking ------------------------------------- *)
 
 (* The chaos interposer relays frames it cannot (and must not) decode:
    it only ever looks at the fixed header and, for sender attribution,
-   the leading string fields of [Hello]/[Msg_from] — both of which sit
+   the leading fields of [Hello]/[Msg_from]/[Msg_key] — all of which sit
    before any protocol-specific bytes. *)
 
 let header_bytes = 4

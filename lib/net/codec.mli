@@ -17,8 +17,11 @@
 
     [length] counts the bytes after the length field.  [kind]
     distinguishes the session-control frames ({!Hello}, {!Hello_ack},
-    {!Err}) from protocol messages ({!Msg}).  Integers inside bodies are
-    zigzag LEB128 varints; strings are length-prefixed.
+    {!Err}) from protocol messages: clients send {!Msg_key}, which names
+    the register and the sending automaton inline; servers still accept
+    the untagged {!Msg} and {!Msg_from} of older peers, on key 0.
+    Integers inside bodies are zigzag LEB128 varints; strings are
+    length-prefixed.
 
     Decoding is total: every exported decode function returns [Error]
     on truncated, oversized, or corrupt input — it never raises, which
@@ -100,8 +103,9 @@ val decode_msg : 'm t -> string -> ('m, error) result
 type 'm frame =
   | Hello of { proto : string; sender : string; obj : int }
       (** First frame on every connection: the protocol the client
-          speaks, its process name ("w", "r3"), and the object index it
-          believes it dialed (0 = any). *)
+          speaks, its process name (the sender string: "w" for the
+          writer, "r<j>" for reader j, "s<i>" for object i), and the
+          object index it believes it dialed (0 = any). *)
   | Hello_ack of { proto : string; obj : int }
       (** Server's reply: the protocol it hosts and the actual object
           index. *)
@@ -123,6 +127,12 @@ type 'm frame =
       (** Terminal: the peer rejected the session or a frame; the
           connection closes after sending it. *)
 
+val sender_id : char -> string -> int
+(** [sender_id c s] is [n] when [s] is the sender string [c] followed by
+    the decimal digits of [n] (["r3"] with ['r'] is 3), parsed in place
+    without allocating; [-1] for any other string, or digits too long
+    to be an id. *)
+
 val frame_info : msg_info:('m -> string) -> 'm frame -> string
 
 val encode_frame : 'm t -> 'm frame -> string
@@ -142,9 +152,9 @@ val decode_payload : 'm t -> string -> ('m frame, error) result
     The {!Chaos} interposer relays frames of protocols it does not know:
     self-delimiting frames let it split the stream without decoding, and
     these helpers let it read just the fixed header plus the sender
-    strings of [Hello]/[Msg_from] — everything it needs to attribute a
-    frame to a plan's process — while treating the body as opaque
-    bytes. *)
+    strings of [Hello]/[Msg_from]/[Msg_key] (clients send [Msg_key]) —
+    everything it needs to attribute a frame to a plan's process — while
+    treating the body as opaque bytes. *)
 
 val header_bytes : int
 (** Bytes of fixed header at the start of every payload (magic, version,

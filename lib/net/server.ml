@@ -17,34 +17,18 @@ let ignore_sigpipe =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ())
 
-(* In-place decimal parse of "r<n>"/"s<n>" suffixes: this runs once per
-   [Msg_from] on the hot path, so no [String.sub] allocation. *)
-let id_of_suffix s =
-  let len = String.length s in
-  let rec go i acc =
-    if i >= len then acc
-    else
-      match s.[i] with
-      | '0' .. '9' when acc < 0x3FFFFFF ->
-          go (i + 1) ((acc * 10) + (Char.code s.[i] - Char.code '0'))
-      | _ -> -1
-  in
-  if len < 2 then -1 else go 1 0
-
 let proc_of_string s =
   if s = "w" then Some Sim.Proc_id.Writer
-  else if String.length s >= 2 then
-    match s.[0] with
-    | 'r' -> (
-        match id_of_suffix s with
-        | n when n >= 1 -> Some (Sim.Proc_id.Reader n)
-        | _ -> None)
-    | 's' -> (
-        match id_of_suffix s with
+  else
+    match Codec.sender_id 'r' s with
+    | n when n >= 1 -> Some (Sim.Proc_id.Reader n)
+    | _ -> (
+        match Codec.sender_id 's' s with
         | n when n >= 1 -> Some (Sim.Proc_id.Obj n)
         | _ -> None)
-    | _ -> None
-  else None
+
+(* How a protocol message was framed: its reply goes back in kind. *)
+type framing = Untagged | From | Keyed
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -395,7 +379,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
       end
       else if c.gclosing then close_conn c
     in
-    let deliver c ~key ~src ~wrap m =
+    let deliver c ~key ~src m =
       let i = c.gobj in
       (* Partition-safety check: the routing table must have sent this
          connection to the slot's owner, and only one domain id may ever
@@ -423,68 +407,57 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
           (match reply with
           | Some r -> Obs.Wire.incr o.sent (P.msg_class r)
           | None -> ()));
-      match reply with Some r -> append_frame c (wrap r) | None -> ()
+      reply
+    in
+    let fail c msg =
+      append_frame c (Codec.Err msg);
+      c.gclosing <- true
+    in
+    (* One path for every protocol message: untagged [Msg] (key 0, the
+       session's sender), [Msg_from] (key 0, inline sender) and
+       [Msg_key]. *)
+    let on_msg c framing ~key ~sender m =
+      match c.gsrc with
+      | None -> fail c "protocol message before hello"
+      | Some _ as session -> (
+          match
+            match framing with
+            | Untagged -> session
+            | From | Keyed -> proc_of_string sender
+          with
+          | None -> fail c (Printf.sprintf "invalid sender %S" sender)
+          | Some src -> (
+              match deliver c ~key ~src m with
+              | None -> ()
+              | Some r ->
+                  append_frame c
+                    (match framing with
+                    | Untagged -> Codec.Msg r
+                    | From -> Codec.Msg_from { sender; msg = r }
+                    | Keyed -> Codec.Msg_key { key; sender; msg = r })))
     in
     let on_frame c = function
-      | Codec.Hello { proto; sender; obj = dialed } ->
-          let fail msg =
-            append_frame c (Codec.Err msg);
-            c.gclosing <- true
-          in
+      | Codec.Hello { proto; sender; obj = dialed } -> (
           let index = indices.(c.gobj) in
           if proto <> P.name then
-            fail
+            fail c
               (Printf.sprintf "server hosts protocol %s, client speaks %s"
                  P.name proto)
           else if dialed <> 0 && dialed <> index then
-            fail
+            fail c
               (Printf.sprintf "server hosts object %d, client dialed %d" index
                  dialed)
-          else (
+          else
             match proc_of_string sender with
-            | None -> fail (Printf.sprintf "invalid sender %S" sender)
+            | None -> fail c (Printf.sprintf "invalid sender %S" sender)
             | Some p ->
                 c.gsrc <- Some p;
-                append_frame c (Codec.Hello_ack { proto = P.name; obj = index }))
-      | Codec.Msg m -> (
-          match c.gsrc with
-          | None ->
-              append_frame c (Codec.Err "protocol message before hello");
-              c.gclosing <- true
-          | Some src -> deliver c ~key:0 ~src ~wrap:(fun r -> Codec.Msg r) m)
-      | Codec.Msg_from { sender; msg } -> (
-          match c.gsrc with
-          | None ->
-              append_frame c (Codec.Err "protocol message before hello");
-              c.gclosing <- true
-          | Some _ -> (
-              match proc_of_string sender with
-              | None ->
-                  append_frame c
-                    (Codec.Err (Printf.sprintf "invalid sender %S" sender));
-                  c.gclosing <- true
-              | Some src ->
-                  deliver c ~key:0 ~src
-                    ~wrap:(fun r -> Codec.Msg_from { sender; msg = r })
-                    msg))
-      | Codec.Msg_key { key; sender; msg } -> (
-          match c.gsrc with
-          | None ->
-              append_frame c (Codec.Err "protocol message before hello");
-              c.gclosing <- true
-          | Some _ -> (
-              match proc_of_string sender with
-              | None ->
-                  append_frame c
-                    (Codec.Err (Printf.sprintf "invalid sender %S" sender));
-                  c.gclosing <- true
-              | Some src ->
-                  deliver c ~key ~src
-                    ~wrap:(fun r -> Codec.Msg_key { key; sender; msg = r })
-                    msg))
-      | Codec.Hello_ack _ ->
-          append_frame c (Codec.Err "unexpected hello_ack");
-          c.gclosing <- true
+                append_frame c
+                  (Codec.Hello_ack { proto = P.name; obj = index }))
+      | Codec.Msg m -> on_msg c Untagged ~key:0 ~sender:"" m
+      | Codec.Msg_from { sender; msg } -> on_msg c From ~key:0 ~sender msg
+      | Codec.Msg_key { key; sender; msg } -> on_msg c Keyed ~key ~sender msg
+      | Codec.Hello_ack _ -> fail c "unexpected hello_ack"
       | Codec.Err _ -> c.gclosing <- true
     in
     (* Decode and step every complete frame already buffered; stops
@@ -500,8 +473,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
               go ()
           | Error e ->
               count c.gobj "net.server.decode_errors";
-              append_frame c (Codec.Err e);
-              c.gclosing <- true
+              fail c e
       in
       go ();
       if Hashtbl.mem conns c.gfd then try_flush c

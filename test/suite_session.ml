@@ -1,0 +1,104 @@
+(* The server's session errors, driven over a raw socket: a peer that
+   breaks the session protocol gets exactly one [Err] frame and then the
+   server closes the connection.  Each case
+   sends its bad frame and a well-formed frame behind it in one write;
+   the second must never be answered. *)
+
+let cfg3 = Quorum.Config.make_exn ~s:3 ~t:1 ~b:0
+
+module P = Core.Proto_safe
+
+let codec = Net.Codec.messages
+
+(* The writer's first round message: a well-formed protocol message. *)
+let msg =
+  snd
+    (Result.get_ok
+       (P.writer_start (P.writer_init ~cfg:cfg3) (Core.Value.v "x")))
+
+let hello = Net.Codec.Hello { proto = P.name; sender = "w"; obj = 1 }
+
+(* Open a session on object 1, send [frames] in one write, and collect
+   every frame the server sends until it closes the connection. *)
+let exchange frames =
+  let c =
+    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg3 ~readers:1 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let ep = (Net.Cluster.endpoints c).(0) in
+      let fd = Unix.socket (Net.Endpoint.socket_domain ep) Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Net.Endpoint.to_sockaddr ep);
+          Net.Codec.send fd
+            (String.concat "" (List.map (Net.Codec.encode_frame codec) frames));
+          let rd = Net.Codec.Reader.create () in
+          let got = ref [] in
+          let rec drain () =
+            match Net.Codec.Reader.next codec rd with
+            | Ok `Awaiting -> ()
+            | Ok (`Frame f) ->
+                got := f :: !got;
+                drain ()
+            | Error e -> Alcotest.failf "decode error: %s" e
+          in
+          let rec loop () =
+            match Unix.select [ fd ] [] [] 5.0 with
+            | [], _, _ -> Alcotest.fail "server neither replied nor closed"
+            | _ -> (
+                match Net.Codec.recv_into fd rd with
+                | 0 -> drain ()
+                | _ ->
+                    drain ();
+                    loop ()
+                | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> drain ())
+          in
+          loop ();
+          List.rev !got))
+
+let describe = Net.Codec.frame_info ~msg_info:(fun _ -> "msg")
+
+(* [ack]: the session was opened, so a [Hello_ack] precedes the error. *)
+let expect_err ~ack ~says frames () =
+  let show got = String.concat "; " (List.map describe got) in
+  match (ack, exchange frames) with
+  | true, Net.Codec.Hello_ack _ :: [ Net.Codec.Err e ]
+  | false, [ Net.Codec.Err e ] ->
+      Alcotest.(check string) "error" says e
+  | _, got -> Alcotest.failf "expected one Err then close, got [%s]" (show got)
+
+let before_hello m =
+  expect_err ~ack:false ~says:"protocol message before hello" [ m; hello ]
+
+let bad_sender m sender =
+  expect_err ~ack:true ~says:(Printf.sprintf "invalid sender %S" sender)
+    [ hello; m; Net.Codec.Msg msg ]
+
+let suite =
+  ( "session",
+    [
+      Alcotest.test_case "Msg before hello" `Quick
+        (before_hello (Net.Codec.Msg msg));
+      Alcotest.test_case "Msg_from before hello" `Quick
+        (before_hello (Net.Codec.Msg_from { sender = "w"; msg }));
+      Alcotest.test_case "Msg_key before hello" `Quick
+        (before_hello (Net.Codec.Msg_key { key = 0; sender = "w"; msg }));
+      Alcotest.test_case "Msg_key from sender x1" `Quick
+        (bad_sender (Net.Codec.Msg_key { key = 0; sender = "x1"; msg }) "x1");
+      Alcotest.test_case "Msg_key from sender r0" `Quick
+        (bad_sender (Net.Codec.Msg_key { key = 0; sender = "r0"; msg }) "r0");
+      Alcotest.test_case "Msg_from from sender x1" `Quick
+        (bad_sender (Net.Codec.Msg_from { sender = "x1"; msg }) "x1");
+      Alcotest.test_case "Msg_from from sender r0" `Quick
+        (bad_sender (Net.Codec.Msg_from { sender = "r0"; msg }) "r0");
+      Alcotest.test_case "Hello_ack from the client" `Quick
+        (expect_err ~ack:true ~says:"unexpected hello_ack"
+           [
+             hello;
+             Net.Codec.Hello_ack { proto = P.name; obj = 1 };
+             Net.Codec.Msg msg;
+           ]);
+    ] )

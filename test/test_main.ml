@@ -41,4 +41,6 @@ let () =
       Suite_keyspace.suite;
       Suite_coalesce.suite;
       Suite_net_obs.suite;
+      Suite_record.suite;
+      Suite_session.suite;
     ]
