@@ -44,12 +44,6 @@ type cell = {
 
 let cores = Domain.recommended_domain_count ()
 
-let fresh_tmpdir prefix =
-  let path = Filename.temp_file prefix "" in
-  Unix.unlink path;
-  Unix.mkdir path 0o700;
-  path
-
 let to_kop = function
   | Workload.Keyspace.Read { key } -> Net.Client.Read { key }
   | Workload.Keyspace.Write { key; value } -> Net.Client.Write { key; value }
@@ -83,22 +77,17 @@ let timed_pass ?record clients draw =
    [seed], a writer first writes it (recorded) and every read must
    return it.  [sample] picks the recorded keys ({!Net.Record.create}). *)
 let run_cell st ~label ?seed ?sample ~observe ~connect ~warm ~draw () =
-  let dir = fresh_tmpdir (String.lowercase_ascii st.name) in
-  let endpoints =
-    match st.transport with
-    | `Unix ->
-        Array.init st.fleet (fun i ->
-            Net.Endpoint.Unix_sock
-              (Filename.concat dir (Printf.sprintf "obj%d.sock" (i + 1))))
-    | `Tcp ->
-        Array.init st.fleet (fun _ ->
-            Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 })
+  let loopback =
+    Net.Endpoint.fleet ~transport:st.transport
+      ~prefix:(String.lowercase_ascii st.name)
+      st.fleet
   in
   let registries = Array.init st.fleet (fun _ -> Obs.Metrics.create ()) in
   let servers =
     Net.Server.start_group
       ~metrics:(fun i -> registries.(i))
-      ~domains:st.domains ~protocol:st.protocol ~cfg:st.cfg endpoints
+      ~domains:st.domains ~protocol:st.protocol ~cfg:st.cfg
+      loopback.endpoints
   in
   let endpoints = Array.map Net.Server.endpoint servers in
   (* One microsecond clock for every client: recorded stamps from the
@@ -184,7 +173,7 @@ let run_cell st ~label ?seed ?sample ~observe ~connect ~warm ~draw () =
   in
   Array.iter Net.Client.close clients;
   Array.iter Net.Server.stop servers;
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+  Net.Endpoint.release loopback;
   let histories = Net.Record.histories record in
   let bad ok = if ok then 0 else 1 in
   let violations =

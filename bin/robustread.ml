@@ -1646,27 +1646,12 @@ let load_cmd =
     let cfg = config ~s ~t ~b () in
     let s = cfg.Quorum.Config.s in
     (* Private scratch dir for sockets and per-worker metric files. *)
-    let dir =
-      let path = Filename.temp_file "robustread-load" "" in
-      Unix.unlink path;
-      Unix.mkdir path 0o700;
-      path
-    in
-    let endpoints =
-      match transport with
-      | `Unix ->
-          Array.init s (fun i ->
-              Net.Endpoint.Unix_sock
-                (Filename.concat dir (Printf.sprintf "obj%d.sock" (i + 1))))
-      | `Tcp ->
-          Array.init s (fun _ ->
-              Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 })
-    in
+    let fleet = Net.Endpoint.fleet ~transport ~prefix:"robustread-load" s in
     let registries = Array.init s (fun _ -> Obs.Metrics.create ()) in
     let servers =
       Net.Server.start_group
         ~metrics:(fun i -> registries.(i))
-        ~domains ~protocol ~cfg endpoints
+        ~domains ~protocol ~cfg fleet.endpoints
     in
     let actual = Array.map Net.Server.endpoint servers in
     (* Seed one write so every READ returns a real value.  In keyspace
@@ -1682,6 +1667,7 @@ let load_cmd =
           Format.eprintf "robustread: seed write failed: %s@." e;
           Net.Client.close writer;
           Array.iter Net.Server.stop servers;
+          Net.Endpoint.release fleet;
           exit 1);
       Net.Client.close writer
     end;
@@ -1700,7 +1686,9 @@ let load_cmd =
             else "")
        else "");
     Format.print_flush ();
-    let metric_file k = Filename.concat dir (Printf.sprintf "proc%d.jsonl" k) in
+    let metric_file k =
+      Filename.concat fleet.dir (Printf.sprintf "proc%d.jsonl" k)
+    in
     let ep_args =
       List.concat_map
         (fun ep -> [ "-e"; Net.Endpoint.to_string ep ])
@@ -1777,7 +1765,7 @@ let load_cmd =
         Format.eprintf "robustread: worker %d left no metrics file@." k
       end
     done;
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+    Net.Endpoint.release fleet;
     let total = procs * ops in
     Format.printf
       "total: %d ops in %.3fs = %.0f ops/s (%d proc(s)); reads completed: %d; \

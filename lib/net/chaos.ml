@@ -1,6 +1,6 @@
 type direction = To_server | To_client
 
-type action = Drop | Delay of int | Duplicate of int | Corrupt | Reorder
+type action = Drop | Duplicate of int | Corrupt
 
 type rule = {
   dir : direction;
@@ -13,10 +13,8 @@ type rule = {
 type stats = {
   forwarded : int;
   dropped : int;
-  delayed : int;
   duplicated : int;
   corrupted : int;
-  reordered : int;
 }
 
 (* One relayed session: the accepted client socket paired with its
@@ -42,24 +40,12 @@ type t = {
   mutable accept_thread : Thread.t option;
   mutable s_forwarded : int;
   mutable s_dropped : int;
-  mutable s_delayed : int;
   mutable s_duplicated : int;
   mutable s_corrupted : int;
-  mutable s_reordered : int;
 }
-
-let ignore_sigpipe =
-  lazy
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ -> ())
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let shutdown_quietly fd =
   try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-
-let set_nodelay fd =
-  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
 let locked t f =
   Mutex.lock t.lock;
@@ -70,10 +56,8 @@ let bump t field =
       match field with
       | `Forwarded -> t.s_forwarded <- t.s_forwarded + 1
       | `Dropped -> t.s_dropped <- t.s_dropped + 1
-      | `Delayed -> t.s_delayed <- t.s_delayed + 1
       | `Duplicated -> t.s_duplicated <- t.s_duplicated + 1
-      | `Corrupted -> t.s_corrupted <- t.s_corrupted + 1
-      | `Reordered -> t.s_reordered <- t.s_reordered + 1)
+      | `Corrupted -> t.s_corrupted <- t.s_corrupted + 1)
 
 let close_conn t conn =
   let was_open =
@@ -88,8 +72,8 @@ let close_conn t conn =
        wakes up instead of hanging on a silently closed fd *)
     shutdown_quietly conn.c_client;
     shutdown_quietly conn.c_server;
-    close_quietly conn.c_client;
-    close_quietly conn.c_server;
+    Endpoint.close_quietly conn.c_client;
+    Endpoint.close_quietly conn.c_server;
     locked t (fun () -> t.conns <- List.filter (fun c -> c != conn) t.conns)
   end
 
@@ -106,22 +90,11 @@ let corrupt_payload p =
     Bytes.unsafe_to_string b
   end
 
-let send_frame dst payload =
-  let n = String.length payload in
-  let b = Bytes.create (4 + n) in
-  Bytes.set_uint8 b 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 b 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 b 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 b 3 (n land 0xff);
-  Bytes.blit_string payload 0 b 4 n;
-  Codec.send dst (Bytes.unsafe_to_string b)
-
 exception Relay_closed
 
-(* Apply the active rules to one frame payload and forward the
-   survivors.  [held] is the reorder slot: a held frame leaves after
-   the next frame on this direction (or when the link goes quiet). *)
-let process_frame t conn ~dir ~dst ~held payload =
+(* Apply the active rules to one frame payload and queue the survivors
+   on [out]. *)
+let process_frame t conn ~dir ~out payload =
   let now = t.now_us () in
   let sender =
     match Codec.peek_sender payload with
@@ -151,133 +124,62 @@ let process_frame t conn ~dir ~dst ~held payload =
       end
       else payload
     in
-    let delay_us =
-      List.fold_left
-        (fun acc r -> match r.act with Delay d -> acc + d | _ -> acc)
-        0 active
-    in
-    if delay_us > 0 then begin
-      bump t `Delayed;
-      Thread.delay (float_of_int delay_us /. 1e6)
-    end;
     let copies =
       List.fold_left
         (fun acc r -> match r.act with Duplicate c -> acc + c | _ -> acc)
         0 active
     in
-    let reorder = List.exists (fun r -> r.act = Reorder) active in
-    if reorder && !held = None && copies = 0 then begin
-      bump t `Reordered;
-      held := Some payload
-    end
-    else begin
-      send_frame dst payload;
-      bump t `Forwarded;
-      for _ = 1 to copies do
-        send_frame dst payload;
-        bump t `Duplicated
-      done;
-      match !held with
-      | None -> ()
-      | Some p ->
-          held := None;
-          send_frame dst p;
-          bump t `Forwarded
-    end
+    for _ = 0 to copies do
+      Codec.Out.add_payload out payload
+    done;
+    bump t `Forwarded;
+    for _ = 1 to copies do
+      bump t `Duplicated
+    done
   end
 
-(* Relay one direction of a session.  The pump owns a private receive
-   buffer and cuts it into self-delimiting frames; a read that would
-   block is bounded by a short [select] so held (reordered) frames never
-   stall behind a quiet link and a stopped proxy is noticed promptly. *)
+(* Relay one direction of a session: cut the stream into frames with
+   the codec's reader, apply the rules, and send what survives of one
+   read in one write.  A read that would block is bounded by a short
+   [select], so a stopped proxy is noticed promptly. *)
 let pump t conn ~dir ~src ~dst =
-  let buf = ref (Bytes.create 8192) in
-  let len = ref 0 in
-  let held = ref None in
-  let flush_held () =
-    match !held with
-    | None -> ()
-    | Some p ->
-        held := None;
-        send_frame dst p;
-        bump t `Forwarded
-  in
-  let ensure cap =
-    if Bytes.length !buf < cap then begin
-      let fresh = Bytes.create (max cap (2 * Bytes.length !buf)) in
-      Bytes.blit !buf 0 fresh 0 !len;
-      buf := fresh
-    end
-  in
-  (* Consume every complete frame at the front of the buffer. *)
-  let rec drain off =
-    if !len - off < 4 then off
-    else
-      let b = !buf in
-      let n =
-        (Bytes.get_uint8 b off lsl 24)
-        lor (Bytes.get_uint8 b (off + 1) lsl 16)
-        lor (Bytes.get_uint8 b (off + 2) lsl 8)
-        lor Bytes.get_uint8 b (off + 3)
-      in
-      if n > Codec.max_frame then raise Relay_closed
-      else if !len - off - 4 < n then off
-      else begin
-        let payload = Bytes.sub_string b (off + 4) n in
-        process_frame t conn ~dir ~dst ~held payload;
-        drain (off + 4 + n)
-      end
-  in
-  let compact off =
-    if off > 0 then begin
-      Bytes.blit !buf off !buf 0 (!len - off);
-      len := !len - off
-    end
+  let reader = Codec.Reader.create () in
+  let out = Codec.Out.create () in
+  let rec cut () =
+    match Codec.Reader.next_raw reader with
+    | Error _ -> raise Relay_closed
+    | Ok `Awaiting -> ()
+    | Ok (`Payload p) ->
+        process_frame t conn ~dir ~out p;
+        cut ()
   in
   let rec loop () =
     if t.stopped || not conn.c_open then ()
     else
       match Unix.select [ src ] [] [] 0.01 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | [], _, _ ->
-          flush_held ();
-          loop ()
+      | [], _, _ -> loop ()
       | _ :: _, _, _ ->
-          ensure (!len + 8192);
-          let n = Unix.read src !buf !len 8192 in
-          if n = 0 then raise Relay_closed
-          else begin
-            len := !len + n;
-            compact (drain 0);
-            loop ()
-          end
+          if Codec.recv_into src reader = 0 then raise Relay_closed;
+          cut ();
+          Codec.flush dst out;
+          loop ()
   in
   (try loop () with
   | Relay_closed | Unix.Unix_error _ -> ()
   | Sys_error _ -> ());
-  (try flush_held () with Unix.Unix_error _ | Sys_error _ -> ());
+  Codec.Reader.recycle reader;
+  Codec.Out.recycle out;
   close_conn t conn
 
 (* ----- session setup ----------------------------------------------------- *)
 
-let dial ep =
-  let fd = Unix.socket (Endpoint.socket_domain ep) Unix.SOCK_STREAM 0 in
-  try
-    (match ep with
-    | Endpoint.Tcp _ -> set_nodelay fd
-    | Endpoint.Unix_sock _ -> ());
-    Unix.connect fd (Endpoint.to_sockaddr ep);
-    fd
-  with e ->
-    close_quietly fd;
-    raise e
-
 let handle_accept t cfd =
-  match dial t.target_ep with
+  match Endpoint.dial t.target_ep with
   | exception (Unix.Unix_error _ | Failure _) ->
       (* Target down: a client dialing through us experiences exactly a
          dead server — immediate EOF after connect. *)
-      close_quietly cfd
+      Endpoint.close_quietly cfd
   | sfd ->
       let conn =
         {
@@ -314,7 +216,7 @@ let rec accept_loop t =
     | _ :: _, _, _ -> (
         match Unix.accept t.listen_fd with
         | cfd, _ ->
-            set_nodelay cfd;
+            Endpoint.set_nodelay cfd;
             handle_accept t cfd;
             accept_loop t
         | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) ->
@@ -322,31 +224,8 @@ let rec accept_loop t =
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop t
         | exception Unix.Unix_error _ -> ())
 
-let listen_on endpoint =
-  Endpoint.cleanup endpoint;
-  let fd = Unix.socket (Endpoint.socket_domain endpoint) Unix.SOCK_STREAM 0 in
-  (try
-     (match endpoint with
-     | Endpoint.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-     | Endpoint.Unix_sock _ -> ());
-     Unix.bind fd (Endpoint.to_sockaddr endpoint);
-     Unix.listen fd 64
-   with e ->
-     close_quietly fd;
-     raise e);
-  let actual =
-    match endpoint with
-    | Endpoint.Tcp { host; port = 0 } -> (
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, port) -> Endpoint.Tcp { host; port }
-        | _ -> endpoint)
-    | _ -> endpoint
-  in
-  (fd, actual)
-
-let start ?(rules = []) ~now_us ~listen ~target () =
-  Lazy.force ignore_sigpipe;
-  let listen_fd, listen_ep = listen_on listen in
+let start ~now_us ~listen ~target () =
+  let listen_fd, listen_ep = Endpoint.listen listen in
   let t =
     {
       listen_ep;
@@ -354,16 +233,14 @@ let start ?(rules = []) ~now_us ~listen ~target () =
       now_us;
       listen_fd;
       lock = Mutex.create ();
-      rules_ = rules;
+      rules_ = [];
       conns = [];
       stopped = false;
       accept_thread = None;
       s_forwarded = 0;
       s_dropped = 0;
-      s_delayed = 0;
       s_duplicated = 0;
       s_corrupted = 0;
-      s_reordered = 0;
     }
   in
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
@@ -371,27 +248,21 @@ let start ?(rules = []) ~now_us ~listen ~target () =
 
 let endpoint t = t.listen_ep
 
-let target t = t.target_ep
-
 let set_rules t rules = locked t (fun () -> t.rules_ <- rules)
-
-let rules t = t.rules_
 
 let stats t =
   locked t (fun () ->
       {
         forwarded = t.s_forwarded;
         dropped = t.s_dropped;
-        delayed = t.s_delayed;
         duplicated = t.s_duplicated;
         corrupted = t.s_corrupted;
-        reordered = t.s_reordered;
       })
 
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    close_quietly t.listen_fd;
+    Endpoint.close_quietly t.listen_fd;
     Endpoint.cleanup t.listen_ep;
     let conns = locked t (fun () -> t.conns) in
     List.iter (close_conn t) conns;

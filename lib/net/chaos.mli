@@ -6,20 +6,22 @@
     connection to the real server (a dial that fails while the server is
     crashed simply closes the client side — exactly what dialing a dead
     server looks like).  Each direction of a pair is relayed as a stream
-    of {e opaque frames}: the codec's self-delimiting length prefix lets
-    the proxy cut frame boundaries without decoding protocol bytes, so
-    batched flushes — N frames in one [write] — survive interposition
-    byte-identically when no rule fires.
+    of {e opaque frames}: {!Codec.Reader.next_raw} cuts frame boundaries
+    without decoding protocol bytes and {!Codec.Out.add_payload}
+    re-frames the survivors, so when no rule fires the relayed stream is
+    byte-identical to the original.  The frames cut from one read leave
+    in one [write].  A length prefix the codec rejects (above
+    {!Codec.max_frame}) closes the session.
 
     Rules are windowed in a shared microsecond clock and matched per
     frame by direction and (optionally) the frame's effective sender:
     the session's [Hello] sender, or the inline sender of a [Msg_key]
     frame (what clients send; a legacy [Msg_from] works the same), so
     pipelined traffic attributes per reader automaton.  A
-    matched frame can be dropped, delayed, duplicated, corrupted (body
-    bytes scrambled {e after} the frame header, so the result still
-    parses as a frame and exercises the peer's total decoding), or
-    reordered (held back until the next frame on the link passes).
+    matched frame can be dropped, duplicated, or corrupted (body bytes
+    scrambled {e after} the frame header, so the result still parses as
+    a frame and exercises the peer's total decoding) — the three network
+    actions a {!Fault.Plan} compiles to.
 
     {!set_rules} replaces the rule set atomically; the live fault
     backend compiles a {!Fault.Plan} into one rule list per object up
@@ -31,16 +33,14 @@ type direction =
   | To_client  (** server → client: replies *)
 
 type action =
-  | Drop
-  | Delay of int  (** microseconds, added before forwarding *)
-  | Duplicate of int  (** extra copies forwarded after the original *)
+  | Drop  (** the frame never reaches the peer; wins over the others *)
+  | Duplicate of int
+      (** forward the frame, then this many extra copies; several
+          matching rules add their copies *)
   | Corrupt
-      (** scramble the payload past the frame header: still a frame,
-          no longer a valid message — the live stand-in for a
-          Byzantine object's garbage *)
-  | Reorder
-      (** hold the frame until the next one on this direction passes
-          (flushed after a short quiet period, or at window end) *)
+      (** scramble the payload past the frame header: still a frame
+          with a readable kind, no longer a valid message — the live
+          stand-in for a Byzantine object's garbage *)
 
 type rule = {
   dir : direction;
@@ -53,24 +53,22 @@ type rule = {
 }
 
 type stats = {
-  forwarded : int;  (** frames relayed unmodified *)
+  forwarded : int;  (** frames relayed (corrupted ones included), copies not *)
   dropped : int;
-  delayed : int;
   duplicated : int;  (** extra copies sent *)
   corrupted : int;
-  reordered : int;
 }
 
 type t
 
 val start :
-  ?rules:rule list ->
   now_us:(unit -> int) ->
   listen:Endpoint.t ->
   target:Endpoint.t ->
   unit ->
   t
-(** Bind [listen] and relay every accepted connection to [target].
+(** Bind [listen] and relay every accepted connection to [target],
+    transparently until {!set_rules} installs rules.
     [now_us] is the clock rule windows are evaluated against (the
     cluster passes its shared clock so plan ticks and history
     timestamps agree).  @raise Unix.Unix_error if [listen] cannot be
@@ -79,13 +77,9 @@ val start :
 val endpoint : t -> Endpoint.t
 (** The client-facing address (ephemeral TCP ports resolved). *)
 
-val target : t -> Endpoint.t
-
 val set_rules : t -> rule list -> unit
 (** Atomically replace the active rules; takes effect on the next
     frame. *)
-
-val rules : t -> rule list
 
 val stats : t -> stats
 

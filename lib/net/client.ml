@@ -23,13 +23,6 @@ type outcome = {
   latency_us : int;
 }
 
-let ignore_sigpipe =
-  lazy
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ -> ())
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* One endpoint = one base object.  [fd = None] marks the endpoint down;
    reconnects are rate-limited by [next_attempt] so a dead server costs
    one connect attempt per backoff window, not one per message. *)
@@ -64,8 +57,6 @@ let mk_conn i ep =
 
 let reconnect_cap = 2.0
 
-let connect_timeout = 0.5
-
 (* A flapping endpoint must not flood stderr during a long bench: at
    most one reconnect warning per endpoint per window, with a count of
    what was swallowed in between. *)
@@ -83,32 +74,6 @@ let warn_reconnect c ~now msg =
   end
   else c.suppressed <- c.suppressed + 1
 
-(* Batched flushes must hit the wire immediately: Nagle + delayed-ACK
-   would otherwise stall the round-trip pipeline on TCP loopback. *)
-let set_nodelay fd =
-  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
-
-let connect_fd ep =
-  let fd = Unix.socket (Endpoint.socket_domain ep) Unix.SOCK_STREAM 0 in
-  try
-    Unix.set_nonblock fd;
-    (match ep with
-    | Endpoint.Tcp _ -> set_nodelay fd
-    | Endpoint.Unix_sock _ -> ());
-    (try Unix.connect fd (Endpoint.to_sockaddr ep)
-     with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
-       match Unix.select [] [ fd ] [] connect_timeout with
-       | _, [], _ -> raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))
-       | _ -> (
-           match Unix.getsockopt_error fd with
-           | None -> ()
-           | Some err -> raise (Unix.Unix_error (err, "connect", "")))));
-    Unix.clear_nonblock fd;
-    fd
-  with e ->
-    close_quietly fd;
-    raise e
-
 let penalize c ~now =
   c.fails <- c.fails + 1;
   c.next_attempt <- now +. Float.min reconnect_cap (0.05 *. float_of_int c.fails)
@@ -117,7 +82,7 @@ let drop_conn ~count c =
   match c.fd with
   | None -> ()
   | Some fd ->
-      close_quietly fd;
+      Endpoint.close_quietly fd;
       c.fd <- None;
       Codec.Reader.reset c.reader;
       Codec.Out.clear c.out;
@@ -131,7 +96,7 @@ let drop_conn ~count c =
    (possibly wiped), so protocols with client-side cached state must
    resync (see {!Core.Protocol_intf.S.reader_on_reconnect}). *)
 let try_connect ~count ~on_reconnect ~codec ~proto_name ~proc c =
-  match connect_fd c.ep with
+  match Endpoint.dial c.ep with
   | fd -> (
       Codec.Reader.reset c.reader;
       c.fails <- 0;
@@ -373,7 +338,6 @@ type t = {
 
 let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
     ~map ~window ~first_reader ~readers ~writes endpoints =
-  Lazy.force ignore_sigpipe;
   let (Protocols.Packed { proto = (module P); codec }) = protocol in
   let cap = max 1 coalesce in
   let cfg = Shard.Map.cfg map in

@@ -32,7 +32,7 @@ type t = {
   copts : Client.opts option;
   protocol : Protocols.t;
   now_us : unit -> int;
-  tmpdir : string option;
+  fleet : Endpoint.fleet;
   with_metrics : bool;
 }
 
@@ -40,37 +40,13 @@ let engine ~with_metrics connect =
   let registry = if with_metrics then Some (Obs.Metrics.create ()) else None in
   { client = connect registry; registry }
 
-let tmp_counter = ref 0
-
-let fresh_tmpdir () =
-  let rec go n =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "robustread-net-%d-%d" (Unix.getpid ()) n)
-    in
-    match Unix.mkdir dir 0o700 with
-    | () -> dir
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (n + 1)
-  in
-  incr tmp_counter;
-  go !tmp_counter
-
 let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
     ?(interpose = false) ~protocol ~cfg ~readers () =
   let s = cfg.Quorum.Config.s in
-  let tmpdir, endpoints =
-    match transport with
-    | `Unix ->
-        let dir = fresh_tmpdir () in
-        ( Some dir,
-          Array.init s (fun i ->
-              Endpoint.Unix_sock
-                (Filename.concat dir (Printf.sprintf "s%d.sock" (i + 1)))) )
-    | `Tcp ->
-        ( None,
-          Array.init s (fun _ -> Endpoint.Tcp { host = "127.0.0.1"; port = 0 })
-        )
+  (* Servers take the first [s] endpoints, interposers the next [s]. *)
+  let fleet =
+    Endpoint.fleet ~transport ~prefix:"robustread-net"
+      (if interpose then 2 * s else s)
   in
   let registry () = if metrics then Some (Obs.Metrics.create ()) else None in
   let server_registries = Array.init s (fun _ -> registry ()) in
@@ -80,7 +56,7 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
       ?metrics:
         (if metrics then Some (fun i -> Option.get server_registries.(i))
          else None)
-      ~domains ~protocol ~cfg endpoints
+      ~domains ~protocol ~cfg (Array.sub fleet.endpoints 0 s)
   in
   (* Ephemeral TCP ports are only known after bind. *)
   let server_endpoints = Array.map Server.endpoint servers in
@@ -93,14 +69,8 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
     if not interpose then [||]
     else
       Array.init s (fun i ->
-          let listen =
-            match (transport, tmpdir) with
-            | `Unix, Some dir ->
-                Endpoint.Unix_sock
-                  (Filename.concat dir (Printf.sprintf "c%d.sock" (i + 1)))
-            | _ -> Endpoint.Tcp { host = "127.0.0.1"; port = 0 }
-          in
-          Chaos.start ~now_us ~listen ~target:server_endpoints.(i) ())
+          Chaos.start ~now_us ~listen:fleet.endpoints.(s + i)
+            ~target:server_endpoints.(i) ())
   in
   let endpoints =
     if interpose then Array.map Chaos.endpoint chaos_ else server_endpoints
@@ -125,7 +95,7 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
     copts = opts;
     protocol;
     now_us;
-    tmpdir;
+    fleet;
     with_metrics = metrics;
   }
 
@@ -242,8 +212,6 @@ let alive t =
 
 let endpoints t = t.endpoints
 
-let cfg t = t.cfg
-
 let history t = Record.history t.record 0
 
 (* Writer, serial readers, then the cached pipelined and keyed engines. *)
@@ -269,6 +237,4 @@ let stop t =
   t.keyed <- None;
   Array.iter Chaos.stop t.chaos_;
   Array.iter (fun s -> if Server.alive s then Server.stop s) t.servers;
-  match t.tmpdir with
-  | None -> ()
-  | Some dir -> ( try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  Endpoint.release t.fleet

@@ -2,8 +2,9 @@
     one process.
 
     This is the live counterpart of {!Core.Scenario}: it hosts the base
-    objects in one {!Server} group (Unix-domain sockets in a private
-    temp directory by default, TCP on demand), connects the single
+    objects in one {!Server} group on an {!Endpoint.fleet}
+    (Unix-domain sockets in a private temp directory by default, TCP on
+    demand), connects the single
     writer and [readers] reader {!Client}s, and records every operation
     through a {!Record} so the paper's safety/regularity/
     wait-freedom checkers run on live histories exactly as they do on
@@ -136,8 +137,6 @@ val endpoints : t -> Endpoint.t array
 (** What clients dial: the interposers' endpoints when interposed,
     otherwise the servers'. *)
 
-val cfg : t -> Quorum.Config.t
-
 val history : t -> string Histories.Op.t list
 (** All recorded operations, invocation order — feed to
     {!Histories.Checks}. *)
@@ -152,4 +151,5 @@ val metrics : t -> Obs.Metrics.t option
     [None] unless started with [metrics:true]. *)
 
 val stop : t -> unit
-(** Stop servers and clients and remove the socket directory. *)
+(** Stop servers and clients, then {!Endpoint.release} the fleet: its
+    socket files and directory are removed. *)

@@ -106,6 +106,17 @@ module Out = struct
     Bytes.blit src.buf 0 t.buf t.len src.len;
     t.len <- t.len + src.len
 
+  (* Re-frame an opaque payload: what a relay sends after cutting it
+     with [Reader.next_raw]. *)
+  let add_payload t p =
+    let n = String.length p in
+    if n > max_frame then
+      invalid_arg (Printf.sprintf "Codec.Out.add_payload: %d-byte frame" n);
+    ensure t (4 + n);
+    Bytes.set_int32_be t.buf t.len (Int32.of_int n);
+    Bytes.blit_string p 0 t.buf (t.len + 4) n;
+    t.len <- t.len + 4 + n
+
   (* After a one-off large frame, fall back to a pool-class buffer so
      the scratch does not retain peak capacity forever. *)
   let maybe_shrink t =
@@ -347,14 +358,11 @@ let get_history d =
 (* ----- per-protocol message codecs -------------------------------------- *)
 
 type 'm t = {
-  name : string;
   encode : Out.t -> 'm -> unit;
   decode : dec -> 'm;  (* may raise Fail; callers catch at the boundary *)
 }
 
 type 'm codec = 'm t
-
-let name c = c.name
 
 let messages : Core.Messages.t t =
   let encode o (m : Core.Messages.t) =
@@ -448,7 +456,7 @@ let messages : Core.Messages.t t =
         Read2_ack_h { tsr; history }
     | t -> fail "bad core message tag %d" t
   in
-  { name = "core"; encode; decode }
+  { encode; decode }
 
 let abd : Baseline.Abd.msg t =
   let encode o (m : Baseline.Abd.msg) =
@@ -498,7 +506,7 @@ let abd : Baseline.Abd.msg t =
     | 5 -> Write_back_ack { rid = get_int d }
     | t -> fail "bad abd message tag %d" t
   in
-  { name = "abd"; encode; decode }
+  { encode; decode }
 
 let finish_strict d ~what v =
   if remaining d > 0 then fail "%d trailing bytes after %s" (remaining d) what
@@ -804,6 +812,25 @@ module Reader = struct
         let res = decode_payload_dec c d in
         maybe_shrink r;
         match res with Ok f -> Ok (`Frame f) | Error e -> Error e
+      end
+
+  (* [next]'s cut without the decode: the payload is copied out as
+     opaque bytes, for a relay that forwards frames it must not parse. *)
+  let next_raw r =
+    if r.len < 4 then Ok `Awaiting
+    else
+      let n = peek_len r in
+      if n > max_frame then
+        Error (Printf.sprintf "frame length %d exceeds limit %d" n max_frame)
+      else if n < 4 then Error (Printf.sprintf "frame length %d too short" n)
+      else if r.len < 4 + n then Ok `Awaiting
+      else begin
+        let p = Bytes.sub_string r.buf (r.start + 4) n in
+        r.start <- r.start + 4 + n;
+        r.len <- r.len - 4 - n;
+        if r.len = 0 then r.start <- 0;
+        maybe_shrink r;
+        Ok (`Payload p)
       end
 end
 

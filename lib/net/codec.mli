@@ -69,6 +69,12 @@ module Out : sig
       last clear onto the end of [t]: a frame encoded once can join
       many connections' batches. *)
 
+  val add_payload : t -> string -> unit
+  (** Append one frame around an opaque payload (the bytes after the
+      length prefix): the inverse of {!Reader.next_raw}, so a relay
+      re-frames what it cut without decoding it.
+      @raise Invalid_argument if the payload exceeds {!max_frame}. *)
+
   val recycle : t -> unit
   (** Return the backing buffer to the arena.  The scratch stays usable
       (it re-acquires storage on the next append). *)
@@ -80,10 +86,6 @@ type 'm t
 (** Encoder/decoder pair for one protocol's message type ['m]. *)
 
 type 'm codec = 'm t
-
-val name : 'm t -> string
-(** Short codec identifier ("core", "abd"), embedded in [Hello]
-    validation errors. *)
 
 val messages : Core.Messages.t t
 (** The safe/regular family ({!Core.Messages.t}): PW/W write rounds,
@@ -196,6 +198,13 @@ module Reader : sig
       version, oversized length): the connection cannot resynchronize
       and must be closed.  Frames decode in place out of the receive
       buffer — no per-frame payload copy. *)
+
+  val next_raw : t -> ([ `Payload of string | `Awaiting ], error) result
+  (** {!next}'s frame cut without the decode: the next complete payload
+      (the bytes after the length prefix) as opaque bytes.  The length
+      checks are {!next}'s, so an [Error] (oversized or too-short
+      prefix) again means the stream must be closed; the payload itself
+      is not inspected. *)
 
   val pending : t -> int
   (** Buffered bytes not yet consumed. *)

@@ -182,10 +182,8 @@ let rule_info r =
   let act =
     match r.v_act with
     | Chaos.Drop -> "drop"
-    | Chaos.Delay d -> Printf.sprintf "delay(%dus)" d
     | Chaos.Duplicate c -> Printf.sprintf "dup(%d)" c
     | Chaos.Corrupt -> "corrupt"
-    | Chaos.Reorder -> "reorder"
   in
   let dir =
     match r.v_dir with Chaos.To_server -> "to_server" | Chaos.To_client -> "to_client"

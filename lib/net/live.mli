@@ -46,8 +46,6 @@ val supported : Fault.Campaign.protocol list
     [Abd]); the symbolic-only baselines ([Fast_safe], [Naive_fast])
     cannot run live. *)
 
-val protocol_of : Fault.Campaign.protocol -> Protocols.t option
-
 val run_plan :
   ?metrics:Obs.Metrics.t ->
   ?opts:opts ->
@@ -69,15 +67,6 @@ type outcome = {
       (** observed fault events, (cluster-clock µs, description) *)
   history : string Histories.Op.t list;
 }
-
-val run_plan_full :
-  ?metrics:Obs.Metrics.t ->
-  ?opts:opts ->
-  Fault.Campaign.protocol ->
-  cfg:Quorum.Config.t ->
-  seed:int ->
-  Fault.Plan.t ->
-  outcome
 
 type witness = {
   w_protocol : Fault.Campaign.protocol;

@@ -36,7 +36,6 @@ val start_group :
   ?indices:int array ->
   ?domains:int ->
   ?queue_hi:int ->
-  ?drain_timeout:float ->
   protocol:Protocols.t ->
   cfg:Quorum.Config.t ->
   Endpoint.t array ->
@@ -62,7 +61,7 @@ val start_group :
 
     Each returned handle stops/crashes/restarts its object
     independently.  A graceful {!stop} drains queued replies for up to
-    [drain_timeout] seconds (default 5) before closing, so batched
+    5 seconds before closing, so batched
     frames are never truncated mid-frame; {!crash} closes immediately.
     Domains exit once every slot they serve has stopped and are
     respawned by the first {!restart}.  [metrics] maps a 0-based slot

@@ -388,6 +388,133 @@ let interposer_drop_rule_blocks_and_clears () =
       in
       Alcotest.(check bool) "partition dropped frames" true (dropped > 0))
 
+(* ----- the relay on its own ---------------------------------------------- *)
+
+(* One interposer between two test-held sockets: [client] is a session
+   dialed through the proxy, [upstream] the proxy's dial as the target
+   accepted it.  Whatever one end writes, the test reads at the other. *)
+let with_relay f =
+  let fleet = Net.Endpoint.fleet ~transport:`Unix ~prefix:"relay" 2 in
+  let lfd, target = Net.Endpoint.listen fleet.endpoints.(0) in
+  let t0 = Unix.gettimeofday () in
+  let now_us () = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
+  let proxy =
+    Net.Chaos.start ~now_us ~listen:fleet.endpoints.(1) ~target ()
+  in
+  let client = Net.Endpoint.dial (Net.Chaos.endpoint proxy) in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.Chaos.stop proxy;
+      List.iter Net.Endpoint.close_quietly [ client; lfd ];
+      Net.Endpoint.release fleet)
+    (fun () ->
+      (match Unix.select [ lfd ] [] [] 5.0 with
+      | [], _, _ -> Alcotest.fail "the proxy never dialed its target"
+      | _ -> ());
+      let upstream, _ = Unix.accept lfd in
+      Fun.protect
+        ~finally:(fun () -> Net.Endpoint.close_quietly upstream)
+        (fun () -> f proxy ~client ~upstream))
+
+let rule act =
+  {
+    Net.Chaos.dir = Net.Chaos.To_server;
+    sender = None;
+    from_us = 0;
+    until_us = max_int;
+    act;
+  }
+
+(* Exactly [n] bytes from [fd], failing on EOF or a 5 s silence. *)
+let recv_exactly fd n =
+  let b = Bytes.create n in
+  let rec go off =
+    if off < n then
+      match Unix.select [ fd ] [] [] 5.0 with
+      | [], _, _ -> Alcotest.failf "relay delivered %d of %d bytes" off n
+      | _ -> (
+          match Unix.read fd b off (n - off) with
+          | 0 -> Alcotest.failf "EOF after %d of %d bytes" off n
+          | k -> go (off + k))
+  in
+  go 0;
+  Bytes.to_string b
+
+(* Nothing more arrives on [fd] for a moment: no stray copies. *)
+let quiet fd =
+  match Unix.select [ fd ] [] [] 0.1 with
+  | [], _, _ -> ()
+  | _ -> Alcotest.fail "relay sent more than expected"
+
+let key_frame ~key ~tsr =
+  Net.Codec.encode_frame Net.Codec.messages
+    (Net.Codec.Msg_key
+       { key; sender = "r1"; msg = Core.Messages.Read1 { tsr; from_ts = 0 } })
+
+let relay_reassembles_byte_writes () =
+  with_relay @@ fun proxy ~client ~upstream ->
+  let frame = key_frame ~key:3 ~tsr:7 in
+  String.iteri
+    (fun i _ ->
+      ignore (Unix.write_substring client frame i 1);
+      Thread.delay 0.001)
+    frame;
+  Alcotest.(check string) "frame arrives intact" frame
+    (recv_exactly upstream (String.length frame));
+  quiet upstream;
+  Alcotest.(check int) "one frame forwarded" 1
+    (Net.Chaos.stats proxy).Net.Chaos.forwarded
+
+let relay_duplicates () =
+  with_relay @@ fun proxy ~client ~upstream ->
+  Net.Chaos.set_rules proxy [ rule (Net.Chaos.Duplicate 2) ];
+  let frames = List.init 3 (fun k -> key_frame ~key:k ~tsr:(k + 1)) in
+  Net.Codec.send client (String.concat "" frames);
+  let expected =
+    String.concat "" (List.concat_map (fun f -> [ f; f; f ]) frames)
+  in
+  Alcotest.(check string) "each frame then 2 copies, in order" expected
+    (recv_exactly upstream (String.length expected));
+  quiet upstream;
+  let st = Net.Chaos.stats proxy in
+  Alcotest.(check int) "forwarded" 3 st.Net.Chaos.forwarded;
+  Alcotest.(check int) "duplicated counts the copies" 6 st.Net.Chaos.duplicated
+
+let relay_corrupts_past_the_header () =
+  with_relay @@ fun proxy ~client ~upstream ->
+  Net.Chaos.set_rules proxy
+    [ { (rule Net.Chaos.Corrupt) with Net.Chaos.dir = Net.Chaos.To_client } ];
+  let frame = key_frame ~key:5 ~tsr:9 in
+  Net.Codec.send upstream frame;
+  let got = recv_exactly client (String.length frame) in
+  let payload = String.sub got 4 (String.length got - 4) in
+  Alcotest.(check string) "length prefix and header kept"
+    (String.sub frame 0 (4 + Net.Codec.header_bytes))
+    (String.sub got 0 (4 + Net.Codec.header_bytes));
+  Alcotest.(check bool) "kind still peeks" true
+    (Net.Codec.peek_kind payload = Some `Msg_key);
+  (match Net.Codec.decode_payload Net.Codec.messages payload with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "the peer decoded a corrupted body");
+  Alcotest.(check int) "corrupted" 1 (Net.Chaos.stats proxy).Net.Chaos.corrupted
+
+let relay_closes_on_oversized_prefix () =
+  with_relay @@ fun _proxy ~client ~upstream ->
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int (Net.Codec.max_frame + 1));
+  Net.Codec.send client (Bytes.to_string b);
+  let eof what fd =
+    match Unix.select [ fd ] [] [] 5.0 with
+    | [], _, _ -> Alcotest.failf "%s: session still open" what
+    | _ -> (
+        match Unix.read fd (Bytes.create 16) 0 16 with
+        | 0 -> ()
+        | n -> Alcotest.failf "%s: %d bytes instead of EOF" what n
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ())
+  in
+  eof "client" client;
+  eof "upstream" upstream
+
 (* ----- the same plan on both backends ------------------------------------ *)
 
 let same_plan_runs_on_both_backends () =
@@ -536,6 +663,14 @@ let suite =
         interposer_is_transparent_without_rules;
       Alcotest.test_case "interposer drop rule partitions and heals" `Quick
         interposer_drop_rule_blocks_and_clears;
+      Alcotest.test_case "relay reassembles a frame written bytewise" `Quick
+        relay_reassembles_byte_writes;
+      Alcotest.test_case "relay duplicate forwards 1+c copies" `Quick
+        relay_duplicates;
+      Alcotest.test_case "relay corrupt keeps the header, breaks the body"
+        `Quick relay_corrupts_past_the_header;
+      Alcotest.test_case "relay closes on an oversized length prefix" `Quick
+        relay_closes_on_oversized_prefix;
       Alcotest.test_case "one plan value runs on both backends" `Slow
         same_plan_runs_on_both_backends;
       Alcotest.test_case "sim and live matrices share a schema" `Slow

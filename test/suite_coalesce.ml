@@ -218,27 +218,22 @@ let crash_mid_coalesced_run () =
 
 (* ----- golden structure: width-k batch = k ops, 1 round ------------------- *)
 
-let fresh_tmpdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "coalesce-%d-%d" (Unix.getpid ()) !counter)
-    in
-    (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    dir
-
-let start_group ~protocol ~cfg () =
-  let dir = fresh_tmpdir () in
-  let endpoints =
-    Array.init cfg.Quorum.Config.s (fun i ->
-        Net.Endpoint.Unix_sock
-          (Filename.concat dir (Printf.sprintf "obj%d.sock" (i + 1))))
+(* A group on a private loopback fleet; the group stops and the fleet's
+   sockets and directory go away however [f] ends. *)
+let with_group ~protocol ~cfg f =
+  let fleet =
+    Net.Endpoint.fleet ~transport:`Unix ~prefix:"coalesce" cfg.Quorum.Config.s
   in
-  let servers = Net.Server.start_group ~domains:1 ~protocol ~cfg endpoints in
-  (servers, Array.map Net.Server.endpoint servers)
+  let servers =
+    Net.Server.start_group ~domains:1 ~protocol ~cfg fleet.endpoints
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun s -> if Net.Server.alive s then Net.Server.stop s)
+        servers;
+      Net.Endpoint.release fleet)
+    (fun () -> f (Array.map Net.Server.endpoint servers))
 
 let read_spans spans =
   List.filter
@@ -253,10 +248,7 @@ let read_spans spans =
    none and initiated no round of their own. *)
 let keyed_width5_batch_structure () =
   let protocol = Net.Protocols.regular_gc ~readers:1 in
-  let servers, endpoints = start_group ~protocol ~cfg:cfg3 () in
-  Fun.protect
-    ~finally:(fun () -> Array.iter Net.Server.stop servers)
-    (fun () ->
+  with_group ~protocol ~cfg:cfg3 (fun endpoints ->
       let map = Shard.Map.make_exn ~keys:4 ~fleet:3 ~cfg:cfg3 () in
       let registry = Obs.Metrics.create () in
       let keyed =
@@ -358,10 +350,7 @@ let keyed_width5_batch_structure () =
    count against max_inflight. *)
 let mux_width8_batch_structure () =
   let protocol = Net.Protocols.regular_gc ~readers:1 in
-  let servers, endpoints = start_group ~protocol ~cfg:cfg3 () in
-  Fun.protect
-    ~finally:(fun () -> Array.iter Net.Server.stop servers)
-    (fun () ->
+  with_group ~protocol ~cfg:cfg3 (fun endpoints ->
       let w =
         Net.Client.connect ~protocol ~cfg:cfg3 ~role:`Writer endpoints
       in

@@ -430,10 +430,7 @@ let legacy_msg_frames_reach_key_zero () =
         let conns =
           Array.mapi
             (fun i ep ->
-              let fd =
-                Unix.socket (Net.Endpoint.socket_domain ep) Unix.SOCK_STREAM 0
-              in
-              Unix.connect fd (Net.Endpoint.to_sockaddr ep);
+              let fd = Net.Endpoint.dial ep in
               Net.Codec.send fd
                 (Net.Codec.encode_frame codec
                    (Net.Codec.Hello { proto = P.name; sender; obj = i + 1 }));

@@ -140,14 +140,8 @@ let wiped_restart_is_tolerated () =
    loudest kind of silence a Byzantine object can produce without
    forging.  Clients must complete operations without it. *)
 let silent_listener () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen fd 16;
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
+  let fd, ep =
+    Net.Endpoint.listen (Net.Endpoint.Tcp { host = "127.0.0.1"; port = 0 })
   in
   let stop = Atomic.make false in
   let conns = ref [] in
@@ -170,7 +164,7 @@ let silent_listener () =
     List.iter (fun c -> try Unix.close c with Unix.Unix_error _ -> ()) !conns;
     (try Unix.close fd with Unix.Unix_error _ -> ())
   in
-  (Net.Endpoint.Tcp { host = "127.0.0.1"; port }, cleanup)
+  (ep, cleanup)
 
 let byzantine_silent_endpoint () =
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:1 in
@@ -448,6 +442,39 @@ let tcp_transport_works () =
       let o = ok_exn "read" (Net.Cluster.read c ~reader:1) in
       Alcotest.(check string) "value over tcp" "tcp" (value_of o))
 
+(* ----- loopback fleets -------------------------------------------------- *)
+
+(* Release removes the fleet's socket files itself: the directory goes
+   even when no listener unlinked its socket (a crashed server's, or
+   one whose process never got to clean up). *)
+let fleet_release_removes_sockets () =
+  let fleet = Net.Endpoint.fleet ~transport:`Unix ~prefix:"netfleet" 3 in
+  Array.iter
+    (fun ep -> Unix.close (fst (Net.Endpoint.listen ep)))
+    fleet.endpoints;
+  Array.iter
+    (function
+      | Net.Endpoint.Unix_sock path ->
+          Alcotest.(check bool) "socket file left behind" true
+            (Sys.file_exists path)
+      | Net.Endpoint.Tcp _ -> Alcotest.fail "expected unix endpoints")
+    fleet.endpoints;
+  Net.Endpoint.release fleet;
+  Alcotest.(check bool) "directory removed" false (Sys.file_exists fleet.dir);
+  (* a stopped cluster, interposed, with a crashed server *)
+  let c =
+    Net.Cluster.start ~interpose:true ~protocol:Net.Protocols.safe ~cfg:cfg4
+      ~readers:1 ()
+  in
+  let dir =
+    match (Net.Cluster.endpoints c).(0) with
+    | Net.Endpoint.Unix_sock path -> Filename.dirname path
+    | Net.Endpoint.Tcp _ -> Alcotest.fail "expected unix endpoints"
+  in
+  Net.Cluster.crash c 2;
+  Net.Cluster.stop c;
+  Alcotest.(check bool) "cluster directory removed" false (Sys.file_exists dir)
+
 let suite =
   ( "net",
     [
@@ -475,4 +502,6 @@ let suite =
       Alcotest.test_case "pipelined results match serial" `Quick
         pipelined_matches_serial;
       Alcotest.test_case "poll event-loop server mode" `Quick poll_loop_cluster;
+      Alcotest.test_case "fleet release removes its sockets and directory"
+        `Quick fleet_release_removes_sockets;
     ] )

@@ -402,6 +402,43 @@ let reader_survives_garbage =
       in
       drain 64)
 
+(* The relay's path: [next_raw] cuts the same frames as [next] without
+   decoding them, and [Out.add_payload] re-frames each one, so a stream
+   cut and re-framed comes out byte-identical whatever the chunking. *)
+let raw_cut_reframes_identically =
+  QCheck.Test.make
+    ~name:"raw cut + add_payload re-frames a chunked stream byte-identically"
+    ~count:200
+    QCheck.(pair (list_of_size Gen.(0 -- 5) arb_frame) small_nat)
+    (fun (frames, chunk) ->
+      let wire =
+        String.concat ""
+          (List.map (Net.Codec.encode_frame Net.Codec.messages) frames)
+      in
+      let r = Net.Codec.Reader.create () in
+      let out = Net.Codec.Out.create () in
+      let rec cut n =
+        match Net.Codec.Reader.next_raw r with
+        | Ok (`Payload p) ->
+            Net.Codec.Out.add_payload out p;
+            cut (n + 1)
+        | Ok `Awaiting -> n
+        | Error e -> QCheck.Test.fail_reportf "raw cut error: %s" e
+      in
+      let step = 1 + chunk in
+      let rec feed pos n =
+        if pos >= String.length wire then n
+        else begin
+          let len = min step (String.length wire - pos) in
+          feed_string r (String.sub wire pos len);
+          feed (pos + len) (cut n)
+        end
+      in
+      let n = feed 0 0 in
+      n = List.length frames
+      && Net.Codec.Out.contents out = wire
+      && Net.Codec.Reader.pending r = 0)
+
 (* ----- frame batching (ISSUE 5) ------------------------------------------ *)
 
 (* Frames are length-prefixed and self-delimiting, so appending N frames
@@ -535,9 +572,13 @@ let oversized_rejected () =
   Bytes.set_int32_be b 0 (Int32.of_int (Net.Codec.max_frame + 1));
   let r = Net.Codec.Reader.create () in
   Net.Codec.Reader.feed r b 0 8;
-  match Net.Codec.Reader.next Net.Codec.messages r with
+  (match Net.Codec.Reader.next Net.Codec.messages r with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "oversized frame accepted"
+  | Ok _ -> Alcotest.fail "oversized frame accepted");
+  (* the raw cut applies the same limit *)
+  match Net.Codec.Reader.next_raw r with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "oversized frame cut raw"
 
 let bad_magic_rejected () =
   match Net.Codec.decode_payload Net.Codec.messages "XX\x01\x03boom" with
@@ -576,6 +617,7 @@ let suite =
       QCheck_alcotest.to_alcotest mutation_decode;
       QCheck_alcotest.to_alcotest reader_reassembles;
       QCheck_alcotest.to_alcotest reader_survives_garbage;
+      QCheck_alcotest.to_alcotest raw_cut_reframes_identically;
       QCheck_alcotest.to_alcotest batched_equals_unbatched;
       QCheck_alcotest.to_alcotest out_reuse_is_clean;
       QCheck_alcotest.to_alcotest append_equals_encode;

@@ -17,29 +17,18 @@ let ok_exn what = function
   | Ok o -> o
   | Error e -> Alcotest.failf "%s failed: %s" what e
 
-let fresh_tmpdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "netobs-%d-%d" (Unix.getpid ()) !counter)
-    in
-    (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    dir
-
 let with_fleet ?metrics ~protocol f =
-  let dir = fresh_tmpdir () in
+  let eps = Net.Endpoint.fleet ~transport:`Unix ~prefix:"netobs" fleet in
   let servers =
     Net.Server.start_group ?metrics ~domains:1 ~protocol ~cfg:cfg3
-      (Array.init fleet (fun i ->
-           Net.Endpoint.Unix_sock
-             (Filename.concat dir (Printf.sprintf "s%d.sock" (i + 1)))))
+      eps.endpoints
   in
   Fun.protect
     ~finally:(fun () ->
-      Array.iter (fun s -> if Net.Server.alive s then Net.Server.stop s) servers)
+      Array.iter
+        (fun s -> if Net.Server.alive s then Net.Server.stop s)
+        servers;
+      Net.Endpoint.release eps)
     (fun () -> f servers (Array.map Net.Server.endpoint servers))
 
 let keyed ?metrics ?coalesce ~protocol ~keys endpoints =

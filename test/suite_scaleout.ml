@@ -21,30 +21,21 @@ let codec = Net.Codec.messages
 
 let protocol = Net.Protocols.safe
 
-let fresh_tmpdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "scaleout-%d-%d" (Unix.getpid ()) !counter)
-    in
-    (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    dir
-
-let start_group ?metrics ?queue_hi ~domains () =
-  let dir = fresh_tmpdir () in
-  let endpoints =
-    Array.init 4 (fun i ->
-        Net.Endpoint.Unix_sock
-          (Filename.concat dir (Printf.sprintf "obj%d.sock" (i + 1))))
-  in
+(* A 4-object group on a private loopback fleet; the group stops and
+   the fleet's sockets and directory go away however [f] ends. *)
+let with_group ?metrics ?queue_hi ~domains f =
+  let fleet = Net.Endpoint.fleet ~transport:`Unix ~prefix:"scaleout" 4 in
   let servers =
     Net.Server.start_group ?metrics ?queue_hi ~domains ~protocol ~cfg:cfg4
-      endpoints
+      fleet.endpoints
   in
-  (servers, Array.map Net.Server.endpoint servers, dir)
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun s -> if Net.Server.alive s then Net.Server.stop s)
+        servers;
+      Net.Endpoint.release fleet)
+    (fun () -> f servers (Array.map Net.Server.endpoint servers))
 
 let seed_write endpoints =
   let w = Net.Client.connect ~protocol ~cfg:cfg4 ~role:`Writer endpoints in
@@ -58,8 +49,7 @@ let seed_write endpoints =
 (* A hand-driven connection: lets the tests control exactly when bytes
    are read, which is how a "slow reader" is built. *)
 let raw_connect ~sender ep =
-  let fd = Unix.socket (Net.Endpoint.socket_domain ep) Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Net.Endpoint.to_sockaddr ep);
+  let fd = Net.Endpoint.dial ep in
   Net.Codec.send fd
     (Net.Codec.encode_frame codec (Net.Codec.Hello { proto = "safe"; sender; obj = 0 }));
   let reader = Net.Codec.Reader.create () in
@@ -112,7 +102,7 @@ let read1_frame ~sender ~tsr =
 (* ----- graceful stop drains write queues -------------------------------- *)
 
 let graceful_stop_drains_frames () =
-  let servers, endpoints, _ = start_group ~domains:2 () in
+  with_group ~domains:2 @@ fun servers endpoints ->
   seed_write endpoints;
   let fd, reader = raw_connect ~sender:"r1" endpoints.(0) in
   (* pipeline a burst of requests, read nothing yet *)
@@ -138,7 +128,7 @@ let graceful_stop_drains_frames () =
    outcome (Ok or a timeout error) for every op — no decode exception,
    no hang. *)
 let stop_under_mux_inflight () =
-  let servers, endpoints, _ = start_group ~domains:2 () in
+  with_group ~domains:2 @@ fun servers endpoints ->
   seed_write endpoints;
   let opts = { Net.Client.deadline = 0.05; retries = 0; backoff = 0.01 } in
   let mux =
@@ -167,11 +157,10 @@ let stop_under_mux_inflight () =
 
 let backpressure_isolates_slow_reader () =
   let registries = Array.init 4 (fun _ -> Obs.Metrics.create ()) in
-  let servers, endpoints, _ =
-    start_group
-      ~metrics:(fun i -> registries.(i))
-      ~queue_hi:4096 ~domains:1 ()
-  in
+  with_group
+    ~metrics:(fun i -> registries.(i))
+    ~queue_hi:4096 ~domains:1
+  @@ fun servers endpoints ->
   seed_write endpoints;
   let total = 5000 in
   (* slow connection: floods object 1 with requests, reads nothing *)
@@ -235,7 +224,7 @@ let backpressure_isolates_slow_reader () =
 (* ----- domain partitioning under crash/restart churn --------------------- *)
 
 let partition_safe_under_churn () =
-  let servers, endpoints, _ = start_group ~domains:3 () in
+  with_group ~domains:3 @@ fun servers endpoints ->
   let servers = ref servers in
   seed_write endpoints;
   let opts = { Net.Client.deadline = 0.5; retries = 5; backoff = 0.02 } in

@@ -28,11 +28,10 @@ let exchange frames =
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
       let ep = (Net.Cluster.endpoints c).(0) in
-      let fd = Unix.socket (Net.Endpoint.socket_domain ep) Unix.SOCK_STREAM 0 in
+      let fd = Net.Endpoint.dial ep in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          Unix.connect fd (Net.Endpoint.to_sockaddr ep);
           Net.Codec.send fd
             (String.concat "" (List.map (Net.Codec.encode_frame codec) frames));
           let rd = Net.Codec.Reader.create () in
