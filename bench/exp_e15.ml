@@ -11,7 +11,7 @@
 
    1. serial baseline: E15_OPS reads through Cluster.read, wall-clock
       ops/s and p50/p99 latency;
-   2. pipelined sweep: E15_OPS reads through Cluster.read_pipelined at
+   2. pipelined sweep: E15_OPS reads through Cluster.run at
       each window size, same measures, plus failure counts;
    3. correctness: every pipelined op must return the value the serial
       reads returned (matches_serial) and the full recorded history must
@@ -40,6 +40,8 @@ let ok_exn what = function
   | Error e ->
       Printf.eprintf "E15: %s failed: %s\n" what e;
       exit 1
+
+let reads n = Array.make n (Net.Client.Read { key = 0 })
 
 let run () =
   let ops = Exp_common.getenv_int "E15_OPS" 2000 in
@@ -117,12 +119,10 @@ let run () =
                   (function
                     | Ok (_ : Net.Client.outcome) -> ()
                     | Error _ -> incr failures)
-                  (Net.Cluster.read_pipelined cluster ~inflight
-                     ~ops:(Stdlib.min 200 ops));
+                  (Net.Cluster.run cluster ~inflight
+                     (reads (Stdlib.min 200 ops)));
                 let t0 = Unix.gettimeofday () in
-                let results =
-                  Net.Cluster.read_pipelined cluster ~inflight ~ops
-                in
+                let results = Net.Cluster.run cluster ~inflight (reads ops) in
                 let wall = Unix.gettimeofday () -. t0 in
                 Array.iter
                   (function

@@ -44,10 +44,6 @@ type cell = {
 
 let cores = Domain.recommended_domain_count ()
 
-let to_kop = function
-  | Workload.Keyspace.Read { key } -> Net.Client.Read { key }
-  | Workload.Keyspace.Write { key; value } -> Net.Client.Write { key; value }
-
 (* One measured pass: every client domain draws its ops (untimed), spins
    on the barrier, then drives them, domain 0 into [record] when given.
    The pass's wall-clock is the slowest domain's. *)
@@ -252,7 +248,7 @@ let keyed_cell st ~label ~keys ~skew ~write_ratio ~sample_bound ~seed ~ops
           ~write_filter:(fun k -> owner k = c)
           ~keys ~seed:(seed + c) ())
   in
-  let draw gens n c = Array.map to_kop (Workload.Keyspace.ops gens.(c) n) in
+  let draw gens n c = Workload.Keyspace.ops gens.(c) n in
   let cell =
     run_cell st ~label
       ~sample:(fun k -> k < sample_bound && owner k = 0)

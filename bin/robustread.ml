@@ -1143,7 +1143,11 @@ let cluster_cmd =
   let readers_arg =
     Arg.(
       value & opt int 2
-      & info [ "readers" ] ~docv:"R" ~doc:"Concurrent reader clients.")
+      & info [ "readers" ] ~docv:"R"
+          ~doc:
+            "Readers: the run is $(docv) x --reads reads (plus the \
+             writes), and $(docv) is the in-flight window unless \
+             --inflight is given.")
   in
   let writes_arg =
     Arg.(
@@ -1167,19 +1171,18 @@ let cluster_cmd =
       & opt (some int) None
       & info [ "crash" ] ~docv:"I"
           ~doc:
-            "Crash the server for object $(docv) halfway through each \
-             reader's reads and restart it near the end — operations must \
-             keep completing (requires t >= 1).")
+            "Crash the server for object $(docv) halfway through the \
+             operations and restart it after them, then run one more read \
+             — operations must keep completing (requires t >= 1).  Works \
+             with --keys too.")
   in
   let inflight_arg =
     Arg.(
       value & opt int 0
       & info [ "inflight" ] ~docv:"W"
           ~doc:
-            "Pipeline the reads through one multiplexed connection set with \
-             an operation window of $(docv) in-flight reads (total reads = \
-             readers x reads).  0, the default, runs one serial client per \
-             reader.")
+            "Run the operations through one multiplexed connection set with \
+             up to $(docv) in flight.  0, the default, uses --readers.")
   in
   let fast_reads_arg =
     Arg.(
@@ -1187,7 +1190,7 @@ let cluster_cmd =
       & info [ "fast-reads" ]
           ~doc:
             "Run the §5.1 cached/suffix protocol ($(b,regular-gc) sized to \
-             the actual reader count): readers cache the last returned \
+             the reader pool): readers cache the last returned \
              timestamp, objects ship history suffixes, and reads return \
              after round 1 whenever the candidate set already decides — \
              which the lower bound permits only at S >= 2t+2b+1; below it \
@@ -1195,8 +1198,7 @@ let cluster_cmd =
              $(b,--protocol).")
   in
   let run protocol t b s readers writes reads transport crash inflight domains
-      fast_reads keys zipf write_ratio coalesce seed copts jobs
-      metrics artifacts =
+      fast_reads keys zipf write_ratio coalesce seed copts metrics artifacts =
     if inflight < 0 then begin
       Format.eprintf "robustread: --inflight %d must be >= 0@." inflight;
       exit 2
@@ -1206,12 +1208,13 @@ let cluster_cmd =
       exit 2
     end;
     let coalesce = max 1 coalesce in
+    let window = if inflight > 0 then inflight else readers in
+    if window < 1 then begin
+      Format.eprintf "robustread: --readers %d must be >= 1@." readers;
+      exit 2
+    end;
     let protocol =
-      if fast_reads then
-        (* The mux allocates fresh reader ids past [readers]; unknown ids
-           only make server-side pruning more conservative, never unsafe. *)
-        Net.Protocols.regular_gc ~readers:(max 1 readers)
-      else protocol
+      if fast_reads then Net.Protocols.regular_gc ~readers:window else protocol
     in
     let cfg = config ~s ~t ~b () in
     (match crash with
@@ -1224,186 +1227,111 @@ let cluster_cmd =
         exit 2
     | _ -> ());
     (* As for [client]: --artifacts observes the cluster so spans.jsonl
-       has the operations' spans. *)
+       has the operations' spans.  Zipf puts the keyspace traffic on low
+       key ids, so recording a prefix of the id space checks the keys
+       that actually saw concurrency. *)
     let observed = metrics || artifacts <> None in
     let cluster =
       Net.Cluster.start ~metrics:observed ~opts:copts ~transport ~domains
-        ~protocol ~cfg ~readers ()
+        ~sample:(fun k -> k < 256)
+        ~protocol ~cfg ~readers:0 ()
     in
     Format.printf "cluster of %a (%s) over %s sockets (%d server domains): \
-                   %d writes, %d readers x %d reads%s%s@."
+                   %d writes, %d readers x %d reads (window %d)%s@."
       Quorum.Config.pp cfg
       (Net.Protocols.name protocol)
       (match transport with `Unix -> "unix" | `Tcp -> "tcp")
       (max 1 (min domains cfg.Quorum.Config.s))
-      writes readers reads
-      (if inflight > 0 then Printf.sprintf " (pipelined, window %d)" inflight
-       else "")
+      writes readers reads window
       (match crash with
       | Some i -> Printf.sprintf ", crashing object %d mid-run" i
       | None -> "");
     let failures = ref 0 in
-    let fail_mutex = Mutex.create () in
     let record_failure msg =
-      Mutex.lock fail_mutex;
       incr failures;
-      Format.eprintf "%s@." msg;
-      Mutex.unlock fail_mutex
+      Format.eprintf "%s@." msg
     in
-    if keys > 0 then begin
-      (* Keyspace mode: one keyed client drives a zipfian read/write mix
-         over [keys] registers; the single-register phases (and --crash)
-         don't apply.  Histories are recorded per sampled key — each key
-         is its own register, so the single-register checker runs per
-         key. *)
-      let map =
-        Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg ()
-      in
-      let gen =
-        Workload.Keyspace.make_exn ~skew:zipf ~write_ratio ~keys ~seed ()
-      in
-      let n = writes + (readers * reads) in
-      let ops =
-        Array.map
-          (function
-            | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
-            | Workload.Keyspace.Write { key; value } ->
-                Net.Client.Keyed.Write { key; value })
-          (Workload.Keyspace.ops gen n)
-      in
-      let window = if inflight > 0 then inflight else 16 in
-      (* Zipf puts the traffic on low key ids, so sampling a prefix of
-         the id space checks the keys that actually saw concurrency. *)
-      let sample k = k < 256 in
-      Format.printf
-        "keyspace: %s; %d ops (zipf %.2f, write ratio %.2f, window %d%s)@."
-        (Shard.Map.to_string map) n zipf write_ratio window
-        (if coalesce > 1 then Printf.sprintf ", coalesce %d" coalesce else "");
+    (* One op array: the keyspace mix (its writes included), or the
+       reads of key 0 after the serial writes. *)
+    let map, ops =
+      if keys > 0 then begin
+        let map =
+          Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg ()
+        in
+        let gen =
+          Workload.Keyspace.make_exn ~skew:zipf ~write_ratio ~keys ~seed ()
+        in
+        let n = writes + (readers * reads) in
+        Format.printf "keyspace: %s; %d ops (zipf %.2f, write ratio %.2f%s)@."
+          (Shard.Map.to_string map) n zipf write_ratio
+          (if coalesce > 1 then Printf.sprintf ", coalesce %d" coalesce
+           else "");
+        (Some map, Workload.Keyspace.ops gen n)
+      end
+      else begin
+        for i = 1 to writes do
+          match
+            Net.Cluster.write cluster (Core.Value.v (Printf.sprintf "v%d" i))
+          with
+          | Ok o -> print_outcome (Printf.sprintf "write(v%d)" i) o
+          | Error e ->
+              record_failure (Printf.sprintf "write v%d FAILED: %s" i e)
+        done;
+        (None, Array.make (readers * reads) (Net.Client.Read { key = 0 }))
+      end
+    in
+    let run_ops ops =
+      Net.Cluster.run ~inflight:window ~coalesce ?map cluster ops
+    in
+    let alive () =
+      String.concat "," (List.map string_of_int (Net.Cluster.alive cluster))
+    in
+    (* Two halves, a requested crash landing between them. *)
+    let n = Array.length ops in
+    let half = n / 2 in
+    let run_range lo len =
       Array.iteri
-        (fun i -> function
+        (fun k -> function
           | Ok _ -> ()
           | Error e ->
-              record_failure (Printf.sprintf "keyed op #%d FAILED: %s" (i + 1) e))
-        (Net.Cluster.run_keyed ~inflight:window ~coalesce ~sample cluster ~map
-           ops);
-      let checked = Net.Cluster.keyed_histories cluster in
-      let bad =
-        List.fold_left
-          (fun acc (key, h) ->
-            let vs = Histories.Checks.check_safety ~equal:String.equal h in
-            List.iter
-              (fun v ->
-                Format.printf "  key %d violation: %a@." key
-                  (Histories.Checks.pp_violation
-                     ~pp_value:Format.pp_print_string)
-                  v)
-              vs;
-            acc + List.length vs)
-          0 checked
-      in
-      let partition = Net.Cluster.partition_violations cluster in
-      if partition > 0 then
-        record_failure
-          (Printf.sprintf
-             "domain-partition violations: %d (an object was stepped outside \
-              its owning domain)"
-             partition);
-      Format.printf
-        "%d keys touched, %d sampled histories checked; safety: %s@."
-        (Net.Cluster.keys_touched cluster)
-        (List.length checked)
-        (if bad = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" bad);
-      let registry = Net.Cluster.metrics cluster in
-      (match registry with
-      | Some reg when metrics ->
-          Format.printf "--- metrics ---@.%s"
-            (Stats.Table.to_string (Obs.Metrics.table reg))
-      | Some _ | None -> ());
-      live_artifacts ~metrics ~artifacts ~spans:(Net.Cluster.spans cluster)
-        registry;
-      Net.Cluster.stop cluster;
-      if !failures > 0 || bad > 0 then exit 1
-    end
-    else begin
-    (* Writer runs in this thread; each reader client gets its own (the
-       harness locks the shared history recorder).  --jobs 1 forces the
-       fully sequential path. *)
-    let sequential = jobs = Some 1 in
-    let reader_body j () =
-      for k = 1 to reads do
-        (match crash with
-        | Some i when j = 1 && k = ((reads / 2) + 1) ->
-            if List.mem i (Net.Cluster.alive cluster) then begin
-              Net.Cluster.crash cluster i;
-              Format.printf "  crashed object %d (alive: %s)@." i
-                (String.concat ","
-                   (List.map string_of_int (Net.Cluster.alive cluster)))
-            end
-        | _ -> ());
-        match Net.Cluster.read cluster ~reader:j with
-        | Ok _ -> ()
-        | Error e -> record_failure (Printf.sprintf "read r%d#%d FAILED: %s" j k e)
-      done
+              record_failure
+                (Printf.sprintf "op #%d FAILED: %s" (lo + k + 1) e))
+        (run_ops (Array.sub ops lo len))
     in
-    for i = 1 to writes do
-      match Net.Cluster.write cluster (Core.Value.v (Printf.sprintf "v%d" i)) with
-      | Ok o -> print_outcome (Printf.sprintf "write(v%d)" i) o
-      | Error e -> record_failure (Printf.sprintf "write v%d FAILED: %s" i e)
-    done;
-    if inflight > 0 then begin
-      (* Pipelined mode: all reads flow through the mux's operation
-         window.  A requested crash lands between two half-batches, the
-         window-level analogue of "halfway through each reader". *)
-      let run_pipelined n =
-        if n > 0 then
-          Array.iteri
-            (fun k -> function
-              | Ok _ -> ()
-              | Error e ->
-                  record_failure
-                    (Printf.sprintf "pipelined read #%d FAILED: %s" (k + 1) e))
-            (Net.Cluster.read_pipelined ~coalesce cluster ~inflight ~ops:n)
-      in
-      let total = readers * reads in
-      let half = total / 2 in
-      run_pipelined half;
-      (match crash with
-      | Some i when List.mem i (Net.Cluster.alive cluster) ->
-          Net.Cluster.crash cluster i;
-          Format.printf "  crashed object %d (alive: %s)@." i
-            (String.concat ","
-               (List.map string_of_int (Net.Cluster.alive cluster)))
-      | _ -> ());
-      run_pipelined (total - half)
-    end
-    else if sequential then
-      for j = 1 to readers do
-        reader_body j ()
-      done
-    else begin
-      let threads =
-        List.init readers (fun j -> Thread.create (reader_body (j + 1)) ())
-      in
-      List.iter Thread.join threads
-    end;
-    (match crash with
-    | Some i when not (List.mem i (Net.Cluster.alive cluster)) ->
+    run_range 0 half;
+    Option.iter
+      (fun i ->
+        Net.Cluster.crash cluster i;
+        Format.printf "  crashed object %d (alive: %s)@." i (alive ()))
+      crash;
+    run_range half (n - half);
+    Option.iter
+      (fun i ->
         (match Net.Cluster.restart cluster i with
         | Ok () -> ()
         | Error (`Still_alive i) ->
             record_failure
               (Printf.sprintf "restart raced: object %d still alive" i));
-        Format.printf "  restarted object %d (alive: %s)@." i
-          (String.concat ","
-             (List.map string_of_int (Net.Cluster.alive cluster)));
+        Format.printf "  restarted object %d (alive: %s)@." i (alive ());
         (* one more read with the recovered replica back in the quorum *)
-        (match Net.Cluster.read cluster ~reader:1 with
+        match (run_ops [| Net.Client.Read { key = 0 } |]).(0) with
         | Ok o -> print_outcome "read(post-restart)" o
         | Error e -> record_failure ("post-restart read FAILED: " ^ e))
-    | _ -> ());
-    let history = Net.Cluster.history cluster in
-    let equal = String.equal in
-    let safety = Histories.Checks.check_safety ~equal history in
+      crash;
+    let histories = Net.Cluster.histories cluster in
+    let bad =
+      List.fold_left
+        (fun acc (key, h) ->
+          let vs = Histories.Checks.check_safety ~equal:String.equal h in
+          List.iter
+            (fun v ->
+              Format.printf "  key %d violation: %a@." key
+                (Histories.Checks.pp_violation ~pp_value:Format.pp_print_string)
+                v)
+            vs;
+          acc + List.length vs)
+        0 histories
+    in
     let partition = Net.Cluster.partition_violations cluster in
     if partition > 0 then
       record_failure
@@ -1413,25 +1341,20 @@ let cluster_cmd =
            partition);
     let spans = Net.Cluster.spans cluster in
     (* An unobserved cluster keeps no spans: count completions from the
-       history instead. *)
+       histories instead. *)
+    let recorded = List.concat_map snd histories in
+    let count p l = List.length (List.filter p l) in
     let completed =
       if observed then
-        Printf.sprintf "%d spans completed"
-          (List.length (List.filter Obs.Span.completed spans))
+        Printf.sprintf "%d spans completed" (count Obs.Span.completed spans)
       else
-        Printf.sprintf "%d completed"
-          (List.length (List.filter Histories.Op.is_complete history))
+        Printf.sprintf "%d completed" (count Histories.Op.is_complete recorded)
     in
-    Format.printf "%d operations (%s); safety: %s@."
-      (List.length history) completed
-      (if safety = [] then "OK"
-       else Printf.sprintf "%d VIOLATIONS" (List.length safety));
-    List.iter
-      (fun v ->
-        Format.printf "  violation: %a@."
-          (Histories.Checks.pp_violation ~pp_value:Format.pp_print_string)
-          v)
-      safety;
+    Format.printf
+      "%d operations (%s) on %d checked of %d touched key(s); safety: %s@."
+      (List.length recorded) completed (List.length histories)
+      (Net.Cluster.keys_touched cluster)
+      (if bad = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" bad);
     let registry = Net.Cluster.metrics cluster in
     (match registry with
     | Some reg when metrics ->
@@ -1440,8 +1363,7 @@ let cluster_cmd =
     | Some _ | None -> ());
     live_artifacts ~metrics ~artifacts ~spans registry;
     Net.Cluster.stop cluster;
-    if !failures > 0 || safety <> [] then exit 1
-    end
+    if !failures > 0 || bad > 0 then exit 1
   in
   let term =
     Term.(
@@ -1449,7 +1371,7 @@ let cluster_cmd =
       $ writes_arg $ reads_arg $ transport_arg $ crash_arg $ inflight_arg
       $ domains_arg $ fast_reads_arg $ keys_arg $ zipf_arg
       $ write_ratio_arg $ coalesce_arg $ seed_arg $ client_opts_args
-      $ jobs_arg $ metrics_arg $ artifacts_arg)
+      $ metrics_arg $ artifacts_arg)
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -1464,11 +1386,13 @@ let cluster_cmd =
 
 (* The saturation workload needs more client-side parallelism than one
    process can generate (a mux is one thread; the GC and the select loop
-   cap it).  'load' hosts the sharded server group and forks K worker
-   processes of this same binary ('load-worker', hidden), each driving
-   its own pipelined mux with a disjoint reader-id range; workers export
-   their op.* registries as JSONL and the parent merges them with the
-   per-object server registries into one report. *)
+   cap it).  'load' starts a loopback Net.Cluster (the sharded server
+   group) and forks K worker processes of this same binary
+   ('load-worker', hidden), each driving one client with a disjoint
+   reader-id range: a pipelined pool of readers on key 0, or a keyed
+   client with --keys.  Workers export their op.* registries as JSONL
+   and the parent merges them with the cluster's registries into one
+   report. *)
 
 let first_reader_arg =
   Arg.(
@@ -1535,15 +1459,14 @@ let load_worker_cmd =
     end;
     let registry = Obs.Metrics.create () in
     let endpoints = Array.of_list endpoints in
-    let t0 = Unix.gettimeofday () in
-    let outcomes =
+    (* Keyspace mode: a keyed client over the fleet, reading and writing
+       a zipfian mix.  The registers are SWMR, so write ownership is
+       partitioned across workers with the placement mixer: this worker
+       only writes keys where mix(key) mod workers = worker; other write
+       draws become reads (the key-popularity marginal is unchanged).
+       Otherwise a pool of [inflight] readers reads key 0. *)
+    let client, kops =
       if keys > 0 then begin
-        (* Keyspace mode: a keyed client over the fleet, reading and
-           writing a zipfian mix.  The registers are SWMR, so write
-           ownership is partitioned across workers with the placement
-           mixer: this worker only writes keys where
-           mix(key) mod workers = worker; other write draws become
-           reads (the key-popularity marginal is unchanged). *)
         let map =
           Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg ()
         in
@@ -1552,34 +1475,21 @@ let load_worker_cmd =
             ~write_filter:(fun k -> Shard.Map.mix k mod workers = worker)
             ~keys ~seed:(seed + worker) ()
         in
-        let kops =
-          Array.map
-            (function
-              | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
-              | Workload.Keyspace.Write { key; value } ->
-                  Net.Client.Keyed.Write { key; value })
-            (Workload.Keyspace.ops gen ops)
-        in
-        let keyed =
-          Net.Client.Keyed.connect ~metrics:registry ~opts:copts
+        ( Net.Client.Keyed.connect ~metrics:registry ~opts:copts
             ~max_inflight:inflight ~reader:first_reader ~coalesce ~protocol
-            ~map endpoints
-        in
-        let outcomes = Net.Client.Keyed.run_ops keyed kops in
-        Net.Client.Keyed.close keyed;
-        outcomes
+            ~map endpoints,
+          Workload.Keyspace.ops gen ops )
       end
-      else begin
-        let mux =
-          Net.Client.Mux.connect ~metrics:registry ~opts:copts
+      else
+        ( Net.Client.Mux.connect ~metrics:registry ~opts:copts
             ~max_inflight:inflight ~first_reader ~coalesce ~protocol ~cfg
-            ~readers:inflight endpoints
-        in
-        let outcomes = Net.Client.Mux.run_reads mux ops in
-        Net.Client.Mux.close mux;
-        outcomes
-      end
+            ~readers:inflight endpoints,
+          Array.make ops (Net.Client.Read { key = 0 }) )
     in
+    (* connections are dialed lazily, by the run *)
+    let t0 = Unix.gettimeofday () in
+    let outcomes = Net.Client.run_ops client kops in
+    Net.Client.close client;
     let wall = Unix.gettimeofday () -. t0 in
     let failures =
       Array.fold_left
@@ -1615,8 +1525,9 @@ let load_worker_cmd =
   Cmd.v
     (Cmd.info "load-worker" ~docs:Manpage.s_none
        ~doc:
-         "(internal) One load-generator process: a pipelined mux with a \
-          disjoint reader-id range, spawned by 'robustread load'.")
+         "(internal) One load-generator process: one client (a key-0 read \
+          pool, or a keyed client with --keys) with a disjoint reader-id \
+          range, spawned by 'robustread load'.")
     term
 
 let load_cmd =
@@ -1645,31 +1556,20 @@ let load_cmd =
     end;
     let cfg = config ~s ~t ~b () in
     let s = cfg.Quorum.Config.s in
-    (* Private scratch dir for sockets and per-worker metric files. *)
-    let fleet = Net.Endpoint.fleet ~transport ~prefix:"robustread-load" s in
-    let registries = Array.init s (fun _ -> Obs.Metrics.create ()) in
-    let servers =
-      Net.Server.start_group
-        ~metrics:(fun i -> registries.(i))
-        ~domains ~protocol ~cfg fleet.endpoints
+    let cluster =
+      Net.Cluster.start ~metrics:true ~opts:copts ~transport ~domains ~protocol
+        ~cfg ~readers:0 ()
     in
-    let actual = Array.map Net.Server.endpoint servers in
     (* Seed one write so every READ returns a real value.  In keyspace
        mode the workers own the writes (partitioned per key — the
        parent writing key 0 here would be a second writer on it). *)
     if keys = 0 then begin
-      let writer =
-        Net.Client.connect ~opts:copts ~protocol ~cfg ~role:`Writer actual
-      in
-      (match Net.Client.write writer (Core.Value.v "v1") with
+      match Net.Cluster.write cluster (Core.Value.v "v1") with
       | Ok _ -> ()
       | Error e ->
           Format.eprintf "robustread: seed write failed: %s@." e;
-          Net.Client.close writer;
-          Array.iter Net.Server.stop servers;
-          Net.Endpoint.release fleet;
-          exit 1);
-      Net.Client.close writer
+          Net.Cluster.stop cluster;
+          exit 1
     end;
     Format.printf
       "load: %a (%s) over %s sockets, %d worker domain(s); %d proc(s) x \
@@ -1686,13 +1586,13 @@ let load_cmd =
             else "")
        else "");
     Format.print_flush ();
-    let metric_file k =
-      Filename.concat fleet.dir (Printf.sprintf "proc%d.jsonl" k)
-    in
+    (* Private scratch dir for the per-worker metric files. *)
+    let dir = Filename.temp_dir "robustread-load" "" in
+    let metric_file k = Filename.concat dir (Printf.sprintf "proc%d.jsonl" k) in
     let ep_args =
       List.concat_map
         (fun ep -> [ "-e"; Net.Endpoint.to_string ep ])
-        (Array.to_list actual)
+        (Array.to_list (Net.Cluster.endpoints cluster))
     in
     let t0 = Unix.gettimeofday () in
     let pids =
@@ -1733,12 +1633,11 @@ let load_cmd =
         | _ -> incr failed)
       pids;
     let wall = Unix.gettimeofday () -. t0 in
-    Array.iter Net.Server.stop servers;
-    let partition = Net.Server.partition_violations servers.(0) in
-    (* Merge per-object server registries and per-process client JSONL
+    Net.Cluster.stop cluster;
+    let partition = Net.Cluster.partition_violations cluster in
+    (* Merge the cluster's registries and the per-process client JSONL
        exports into one registry: counters add, histograms merge. *)
-    let merged = Obs.Metrics.create () in
-    Array.iter (fun reg -> Obs.Metrics.merge_into ~dst:merged reg) registries;
+    let merged = Option.get (Net.Cluster.metrics cluster) in
     (* Each worker file is parsed into its own registry first: merged
        gauges keep only the max, and the per-worker ops/s spread needs
        every worker's value. *)
@@ -1765,7 +1664,7 @@ let load_cmd =
         Format.eprintf "robustread: worker %d left no metrics file@." k
       end
     done;
-    Net.Endpoint.release fleet;
+    Sys.rmdir dir;
     let total = procs * ops in
     Format.printf
       "total: %d ops in %.3fs = %.0f ops/s (%d proc(s)); reads completed: %d; \
@@ -1815,7 +1714,7 @@ let load_cmd =
        ~doc:
          "Saturate a sharded poll server group: host all S objects across \
           --domains worker domains in this process, fork --procs client \
-          processes each driving a pipelined read mux with a disjoint \
+          processes each driving one pipelined client with a disjoint \
           reader-id range, then merge every registry (per-object server \
           metrics + per-process JSONL exports) into one ops/s and wire.* \
           report.  Exits nonzero on any worker failure or domain-partition \

@@ -16,8 +16,7 @@
     Rules are windowed in a shared microsecond clock and matched per
     frame by direction and (optionally) the frame's effective sender:
     the session's [Hello] sender, or the inline sender of a [Msg_key]
-    frame (what clients send; a legacy [Msg_from] works the same), so
-    pipelined traffic attributes per reader automaton.  A
+    frame, so pipelined traffic attributes per reader automaton.  A
     matched frame can be dropped, duplicated, or corrupted (body bytes
     scrambled {e after} the frame header, so the result still parses as
     a frame and exercises the peer's total decoding) — the three network

@@ -240,7 +240,7 @@ let make_obs reg ~shards =
 (* Op and event types live in a module of their own so that [Mux] and
    [Keyed] re-export them with one [include]. *)
 module Ops = struct
-  type kop =
+  type kop = Workload.Keyspace.op =
     | Read of { key : int }
     | Write of { key : int; value : Core.Value.t }
 
@@ -269,10 +269,6 @@ module Ops = struct
 end
 
 include Ops
-
-let op_key = function Read { key } | Write { key; _ } -> key
-
-let op_is_write = function Read _ -> false | Write _ -> true
 
 (* An operation's latency runs from [start]; [span] is [Some] exactly
    when the engine is observed. *)
@@ -878,8 +874,8 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
      starts on a free slot of its role, else it queues. *)
   let admit idx =
     let op = !ops.(idx) in
-    let r = reg_for (op_key op) in
-    if op_is_write op then
+    let r = reg_for (Workload.Keyspace.op_key op) in
+    if Workload.Keyspace.op_is_write op then
       match r.kws.st with
       | Sactive _ -> Queue.add idx r.kwq
       | Sidle | Sparked _ | Sdone _ ->
@@ -1042,14 +1038,14 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
     Queue.clear freed
   in
   let check op =
-    let key = op_key op in
+    let key = Workload.Keyspace.op_key op in
     if key < 0 || key >= nkeys then
       invalid_arg
         (Printf.sprintf "Client.run_ops: key %d outside the map's %d keys" key
            nkeys);
-    if op_is_write op && not writes then
+    if Workload.Keyspace.op_is_write op && not writes then
       invalid_arg "Client.write: this client is a reader";
-    if (not (op_is_write op)) && readers = 0 then
+    if (not (Workload.Keyspace.op_is_write op)) && readers = 0 then
       invalid_arg "Client.read: this client is the writer"
   in
   let run ?on_event ops_ =
@@ -1163,10 +1159,6 @@ end
 
 module Keyed = struct
   include Ops
-
-  let op_key = op_key
-
-  let op_is_write = op_is_write
 
   type nonrec t = t
 

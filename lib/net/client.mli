@@ -69,11 +69,10 @@ type outcome = {
     which is wire-compatible with unbatched peers because frames are
     length-prefixed and self-delimiting. *)
 
-type kop = Read of { key : int } | Write of { key : int; value : Core.Value.t }
-
-val op_key : kop -> int
-
-val op_is_write : kop -> bool
+type kop = Workload.Keyspace.op =
+  | Read of { key : int }
+  | Write of { key : int; value : Core.Value.t }
+(** The keyspace generator's op type, so a drawn mix runs as is. *)
 
 type event =
   | Invoke of {
@@ -264,10 +263,6 @@ module Keyed : sig
   type nonrec kop = kop =
     | Read of { key : int }
     | Write of { key : int; value : Core.Value.t }
-
-  val op_key : kop -> int
-
-  val op_is_write : kop -> bool
 
   type nonrec event = event =
     | Invoke of {

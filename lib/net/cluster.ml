@@ -1,13 +1,13 @@
 (* One client engine as the cluster drives it, with its registry. *)
 type engine = { client : Client.t; registry : Obs.Metrics.t option }
 
-(* The pipelined and keyed engines are created on first use and cached:
-   their slots carry parked (timed-out) operations across calls, so
-   rebuilding one per call would leak half-finished automata. *)
+(* The op engine is created on first use and cached: its slots carry
+   parked (timed-out) operations across calls, so rebuilding one per
+   call would leak half-finished automata. *)
 type cached = {
   c_inflight : int;
   c_coalesce : int;
-  c_map : Shard.Map.t option;  (* [None]: the pipelined single register *)
+  c_map : Shard.Map.t option;  (* [None]: the pooled key-0 readers *)
   c_engine : engine;
 }
 
@@ -19,12 +19,12 @@ type t = {
   server_registries : Obs.Metrics.t option array;
   writer : engine;
   readers : engine array;
-  mutable mux : cached option;
-  mutable keyed : cached option;
-  (* The single register's history (key 0), and the keyed engine's
-     per-key histories, restarted whenever that engine is rebuilt. *)
+  mutable cached : cached option;
+  (* Every engine [run] has built, newest first: a rebuilt one is
+     closed, but its spans and registry still count. *)
+  mutable built : engine list;
+  (* Every engine records here, each key into its own history. *)
   record : Record.t;
-  mutable keyed_record : Record.t;
   (* Base objects keep per-reader round state, so reader ids are never
      reused across engine generations: each new engine gets a fresh
      range. *)
@@ -41,7 +41,7 @@ let engine ~with_metrics connect =
   { client = connect registry; registry }
 
 let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
-    ?(interpose = false) ~protocol ~cfg ~readers () =
+    ?(interpose = false) ?sample ~protocol ~cfg ~readers () =
   let s = cfg.Quorum.Config.s in
   (* Servers take the first [s] endpoints, interposers the next [s]. *)
   let fleet =
@@ -87,10 +87,9 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
     server_registries;
     writer = slot `Writer;
     readers = Array.init readers (fun j -> slot (`Reader (j + 1)));
-    mux = None;
-    keyed = None;
-    record = Record.create ();
-    keyed_record = Record.create ();
+    cached = None;
+    built = [];
+    record = Record.create ?sample ();
     next_rid = readers + 1;
     copts = opts;
     protocol;
@@ -99,75 +98,64 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
     with_metrics = metrics;
   }
 
-let run e record ops =
+let drive e record ops =
   Client.run_ops ~on_event:(Record.tap record ops) e.client ops
 
 let write t value =
-  (run t.writer t.record [| Client.Write { key = 0; value } |]).(0)
+  (drive t.writer t.record [| Client.Write { key = 0; value } |]).(0)
 
 let read t ~reader =
   if reader < 1 || reader > Array.length t.readers then
     invalid_arg (Printf.sprintf "Cluster.read: reader %d" reader);
-  (run t.readers.(reader - 1) t.record [| Client.Read { key = 0 } |]).(0)
+  (drive t.readers.(reader - 1) t.record [| Client.Read { key = 0 } |]).(0)
 
-(* A cached engine is reused while its parameters hold; otherwise it is
-   closed and a fresh one takes a fresh reader-id range. *)
-let cached t current ~who ~inflight ~coalesce ~map ~readers connect =
-  if inflight < 1 then
-    invalid_arg (Printf.sprintf "Cluster.%s: inflight %d" who inflight);
-  match current with
+(* The cached engine is reused while its parameters hold; otherwise it
+   is closed and a fresh one takes a fresh reader-id range. *)
+let engine_for t ~inflight ~coalesce ~map =
+  match t.cached with
   | Some c
     when c.c_inflight = inflight && c.c_coalesce = coalesce
          && Option.equal ( == ) c.c_map map ->
-      c
-  | existing ->
-      Option.iter (fun c -> Client.close c.c_engine.client) existing;
+      c.c_engine
+  | old ->
+      Option.iter (fun c -> Client.close c.c_engine.client) old;
       let first = t.next_rid in
-      t.next_rid <- t.next_rid + readers;
-      {
-        c_inflight = inflight;
-        c_coalesce = coalesce;
-        c_map = map;
-        c_engine = engine ~with_metrics:t.with_metrics (connect ~first);
-      }
+      let connect metrics =
+        match map with
+        | None ->
+            t.next_rid <- first + inflight;
+            Client.Mux.connect ?metrics ?opts:t.copts ~now_us:t.now_us
+              ~max_inflight:inflight ~first_reader:first ~coalesce
+              ~protocol:t.protocol ~cfg:t.cfg ~readers:inflight t.endpoints
+        | Some map ->
+            t.next_rid <- first + 1;
+            Client.Keyed.connect ?metrics ?opts:t.copts ~now_us:t.now_us
+              ~max_inflight:inflight ~reader:first ~coalesce
+              ~protocol:t.protocol ~map t.endpoints
+      in
+      let e = engine ~with_metrics:t.with_metrics connect in
+      t.cached <-
+        Some
+          { c_inflight = inflight; c_coalesce = coalesce; c_map = map;
+            c_engine = e };
+      t.built <- e :: t.built;
+      e
 
-let read_pipelined ?(coalesce = 1) t ~inflight ~ops =
-  let m =
-    cached t t.mux ~who:"read_pipelined" ~inflight ~coalesce ~map:None
-      ~readers:inflight (fun ~first metrics ->
-        Client.Mux.connect ?metrics ?opts:t.copts ~now_us:t.now_us
-          ~max_inflight:inflight ~first_reader:first ~coalesce
-          ~protocol:t.protocol ~cfg:t.cfg ~readers:inflight t.endpoints)
-  in
-  t.mux <- Some m;
-  run m.c_engine t.record (Array.make ops (Client.Read { key = 0 }))
-
-let run_keyed ?(inflight = 16) ?(coalesce = 1) ?sample t ~map ops =
-  if Shard.Map.fleet map <> Array.length t.endpoints then
-    invalid_arg
-      (Printf.sprintf "Cluster.run_keyed: map fleet %d, cluster has %d"
-         (Shard.Map.fleet map) (Array.length t.endpoints));
-  (* Fresh reader id: key 0 is also served to the single-register
-     clients, so the keyed reader must not collide with their per-reader
-     round state on key 0's objects. *)
-  let k =
-    cached t t.keyed ~who:"run_keyed" ~inflight ~coalesce ~map:(Some map)
-      ~readers:1 (fun ~first metrics ->
-        Client.Keyed.connect ?metrics ?opts:t.copts ~now_us:t.now_us
-          ~max_inflight:inflight ~reader:first ~coalesce ~protocol:t.protocol
-          ~map t.endpoints)
-  in
-  (* a rebuilt engine starts fresh per-key histories *)
-  (match t.keyed with
-  | Some c when c == k -> ()
-  | Some _ | None -> t.keyed_record <- Record.create ?sample ());
-  t.keyed <- Some k;
-  run k.c_engine t.keyed_record ops
-
-let keyed_histories t = Record.histories t.keyed_record
+let run ?(inflight = 16) ?(coalesce = 1) ?map t ops =
+  if inflight < 1 then
+    invalid_arg (Printf.sprintf "Cluster.run: inflight %d" inflight);
+  (match map with
+  | Some map when Shard.Map.fleet map <> Array.length t.endpoints ->
+      invalid_arg
+        (Printf.sprintf "Cluster.run: map fleet %d, cluster has %d"
+           (Shard.Map.fleet map) (Array.length t.endpoints))
+  | _ -> ());
+  drive (engine_for t ~inflight ~coalesce ~map) t.record ops
 
 let keys_touched t =
-  match t.keyed with None -> 0 | Some k -> Client.keys_touched k.c_engine.client
+  match t.cached with
+  | None -> 0
+  | Some c -> Client.keys_touched c.c_engine.client
 
 let check_index t i =
   if i < 1 || i > Array.length t.servers then
@@ -214,10 +202,10 @@ let endpoints t = t.endpoints
 
 let history t = Record.history t.record 0
 
-(* Writer, serial readers, then the cached pipelined and keyed engines. *)
-let engines t =
-  (t.writer :: Array.to_list t.readers)
-  @ List.filter_map (Option.map (fun c -> c.c_engine)) [ t.mux; t.keyed ]
+let histories t = Record.histories t.record
+
+(* Writer, serial readers, then every [run] engine, oldest first. *)
+let engines t = (t.writer :: Array.to_list t.readers) @ List.rev t.built
 
 let spans t = List.concat_map (fun e -> Client.spans e.client) (engines t)
 
@@ -232,9 +220,10 @@ let metrics t =
   end
 
 let stop t =
-  List.iter (fun e -> Client.close e.client) (engines t);
-  t.mux <- None;
-  t.keyed <- None;
+  (* rebuilt engines were closed when they were replaced *)
+  List.iter (fun e -> Client.close e.client)
+    ((t.writer :: Array.to_list t.readers)
+    @ Option.to_list (Option.map (fun c -> c.c_engine) t.cached));
   Array.iter Chaos.stop t.chaos_;
   Array.iter (fun s -> if Server.alive s then Server.stop s) t.servers;
   Endpoint.release t.fleet

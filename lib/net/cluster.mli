@@ -4,11 +4,12 @@
     This is the live counterpart of {!Core.Scenario}: it hosts the base
     objects in one {!Server} group on an {!Endpoint.fleet}
     (Unix-domain sockets in a private temp directory by default, TCP on
-    demand), connects the single
-    writer and [readers] reader {!Client}s, and records every operation
-    through a {!Record} so the paper's safety/regularity/
-    wait-freedom checkers run on live histories exactly as they do on
-    simulated ones.
+    demand), connects the single writer and [readers] serial reader
+    {!Client}s, and drives op arrays through one cached engine
+    ({!run}).  Every operation of every client records through one
+    {!Record}, so the paper's safety/regularity/wait-freedom checkers
+    run on each key's live history exactly as they do on simulated
+    ones.
 
     Chaos hooks mirror the fault campaign's crash-recovery actions:
     {!crash} kills a server's sockets mid-flight (the stand-in for a
@@ -19,7 +20,8 @@
     crash/restart and requires zero failures.
 
     Thread-safety: operations for {e distinct} clients (the writer,
-    each reader) may run from distinct threads concurrently; the shared
+    each reader, the {!run} engine) may run from distinct threads
+    concurrently; the shared
     history recorder is internally locked.  One client must not be
     driven from two threads. *)
 
@@ -31,6 +33,7 @@ val start :
   ?transport:[ `Unix | `Tcp ] ->
   ?domains:int ->
   ?interpose:bool ->
+  ?sample:(int -> bool) ->
   protocol:Protocols.t ->
   cfg:Quorum.Config.t ->
   readers:int ->
@@ -45,8 +48,8 @@ val start :
     rules set the interposers are transparent.  With [metrics:true]
     every component keeps a private registry; {!metrics} merges them
     and {!spans} returns the clients' spans.  Without it no client keeps
-    per-operation spans; {!history} records every operation either
-    way. *)
+    per-operation spans; the record keeps every operation either way,
+    on the keys satisfying [sample] (default: every key). *)
 
 val write : t -> Core.Value.t -> (Client.outcome, string) result
 (** One WRITE through the writer client, recorded in the history. *)
@@ -54,56 +57,39 @@ val write : t -> Core.Value.t -> (Client.outcome, string) result
 val read : t -> reader:int -> (Client.outcome, string) result
 (** One READ by reader [reader] (1-based), recorded in the history. *)
 
-val read_pipelined :
-  ?coalesce:int ->
-  t ->
-  inflight:int ->
-  ops:int ->
-  (Client.outcome, string) result array
-(** Drive [ops] READs with up to [inflight] concurrently in flight
-    through a cached {!Client.Mux} whose reader ids are allocated fresh
-    (above the serial readers' — base objects keep per-reader round
-    state, so ids are never reused across mux generations).  Every
-    operation is recorded in the shared history at its real
-    invoke/respond instants, so the checkers see the true concurrency;
-    timed-out ops stay open and are resumed by a later call, exactly
-    like the serial path.  [coalesce] (default 1 = off) is
-    {!Client.Mux.connect}'s batch cap: coalesced reads record under
-    fresh recorder reader ids, since they overlap their lead.  Changing
-    [inflight] or [coalesce] rebuilds the mux.
-    @raise Invalid_argument if [inflight < 1]. *)
-
-val run_keyed :
+val run :
   ?inflight:int ->
   ?coalesce:int ->
-  ?sample:(int -> bool) ->
+  ?map:Shard.Map.t ->
   t ->
-  map:Shard.Map.t ->
-  Client.Keyed.kop array ->
+  Client.kop array ->
   (Client.outcome, string) result array
-(** Drive a keyspace op mix through a cached {!Client.Keyed} whose
-    reader id is allocated fresh (key 0 is also served to the plain
-    clients, so the keyed reader must not collide with their per-reader
-    round state).  The map's fleet must equal the cluster's server
-    count.  Each key sampled by [sample] (default: all) records into
-    its own per-key history — each key is an independent register, so
-    the single-register checkers apply per key ({!keyed_histories}).
-    [sample] is read when the keyed client is built; the histories
-    start afresh whenever it is rebuilt.
-    [inflight] (default 16) caps concurrently progressing operations;
-    [coalesce] (default 1 = off) is {!Client.Keyed.connect}'s per-key
-    read-coalescing cap, and coalesced reads record under fresh
-    recorder reader ids since they overlap their lead.  Changing
-    [inflight], [coalesce] or the map rebuilds the keyed client.
-    @raise Invalid_argument if [inflight < 1] or the map's fleet does
-    not match. *)
+(** Drive [ops] through the cluster's cached op engine, up to
+    [inflight] (default 16) progressing at once; result [i] is op
+    [i]'s outcome.  Without [map] the engine is a {!Client.Mux} pool of
+    [inflight] readers on key 0, so [ops] must be key-0 reads.  With
+    [map] it is a {!Client.Keyed} client over the keyspace, reading and
+    writing any key of the map; its writes of key 0 and {!write}'s
+    would make two writers of one register, so use one or the other.
+    The map's fleet must equal the cluster's server count.
 
-val keyed_histories : t -> (int * string Histories.Op.t list) list
-(** Per-key recorded operations for sampled keys, sorted by key id —
-    feed each key's list to {!Histories.Checks} independently. *)
+    Every engine takes reader ids above all earlier ones (base objects
+    keep per-reader round state, so ids are never reused), and every
+    op is recorded at its real invoke/respond instants in the
+    cluster's one record, so the checkers see the true concurrency
+    ({!histories}).  Timed-out ops stay open and are resumed by a later
+    call, exactly like the serial path.  [coalesce] (default 1 = off)
+    is the engine's read-coalescing cap; coalesced reads record under
+    fresh recorder reader ids, since they overlap their lead.
+    Changing [inflight], [coalesce] or the map rebuilds the engine; the
+    old one's spans and metrics still count in {!spans} and
+    {!metrics}.
+    @raise Invalid_argument if [inflight < 1], the map's fleet does not
+    match, or an op is one the engine cannot run. *)
 
 val keys_touched : t -> int
-(** Keys with materialized keyed-client automata so far. *)
+(** Keys with materialized automata in the cached {!run} engine; 0
+    before the first {!run}. *)
 
 val crash : t -> int -> unit
 (** Hard-kill server for object [i] (1-based); idempotent while down. *)
@@ -138,12 +124,17 @@ val endpoints : t -> Endpoint.t array
     otherwise the servers'. *)
 
 val history : t -> string Histories.Op.t list
-(** All recorded operations, invocation order — feed to
+(** Key 0's recorded operations, invocation order — feed to
     {!Histories.Checks}. *)
 
+val histories : t -> (int * string Histories.Op.t list) list
+(** Every recorded key's operations (key 0 included), sorted by key —
+    each key is its own register, so feed each list to
+    {!Histories.Checks} independently. *)
+
 val spans : t -> Obs.Span.t list
-(** Writer spans then per-reader spans; all share one microsecond
-    clock.  [[]] unless started with [metrics:true]: clients keep spans
+(** Writer spans, then the serial readers', then those of every {!run}
+    engine, oldest first; all share one microsecond clock.  [[]] unless started with [metrics:true]: clients keep spans
     exactly when they have a registry. *)
 
 val metrics : t -> Obs.Metrics.t option
@@ -152,4 +143,5 @@ val metrics : t -> Obs.Metrics.t option
 
 val stop : t -> unit
 (** Stop servers and clients, then {!Endpoint.release} the fleet: its
-    socket files and directory are removed. *)
+    socket files and directory are removed.  {!histories}, {!spans},
+    {!metrics} and {!partition_violations} stay readable. *)

@@ -17,9 +17,10 @@
 
     [length] counts the bytes after the length field.  [kind]
     distinguishes the session-control frames ({!Hello}, {!Hello_ack},
-    {!Err}) from protocol messages: clients send {!Msg_key}, which names
-    the register and the sending automaton inline; servers still accept
-    the untagged {!Msg} and {!Msg_from} of older peers, on key 0.
+    {!Err}) from protocol messages: clients and servers speak only
+    {!Msg_key}, which names the register and the sending automaton
+    inline.  The untagged {!Msg} and {!Msg_from} still encode and
+    decode, for codec measurements, but a server rejects them.
     Integers inside bodies are zigzag LEB128 varints; strings are
     length-prefixed.
 
@@ -111,20 +112,17 @@ type 'm frame =
   | Hello_ack of { proto : string; obj : int }
       (** Server's reply: the protocol it hosts and the actual object
           index. *)
-  | Msg of 'm  (** A protocol message, attributed to the session's sender. *)
+  | Msg of 'm  (** An untagged protocol message; servers reject it. *)
   | Msg_from of { sender : string; msg : 'm }
-      (** A protocol message carrying its sender inline, so one
-          connection can multiplex traffic for many reader automata.
-          Servers reply in kind, echoing [sender], which is how the
-          pipelined client demultiplexes concurrent operations. *)
+      (** A protocol message carrying only its sender inline; servers
+          reject it. *)
   | Msg_key of { key : int; sender : string; msg : 'm }
       (** A sender-tagged message additionally scoped to one register of
           a keyspace: the varint [key] (>= 0) names the register the
           automaton belongs to, so one connection multiplexes traffic
           for many keys times many automata.  Servers reply in kind,
-          echoing both [key] and [sender].  Untagged [Msg]/[Msg_from]
-          frames address key 0, which is how pre-keyspace clients keep
-          working against keyed servers. *)
+          echoing both [key] and [sender].  It is the only protocol
+          frame a server accepts. *)
   | Err of string
       (** Terminal: the peer rejected the session or a frame; the
           connection closes after sending it. *)

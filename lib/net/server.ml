@@ -20,9 +20,6 @@ let proc_of_string s =
         | n when n >= 1 -> Some (Sim.Proc_id.Obj n)
         | _ -> None)
 
-(* How a protocol message was framed: its reply goes back in kind. *)
-type framing = Untagged | From | Keyed
-
 module Keys = Hashtbl.Make (Int)
 
 (* One slot's hot-path metrics, each resolved on first use so a metric
@@ -69,7 +66,7 @@ type gconn = {
   gobj : int;  (* slot in the group's arrays, 0-based *)
   greader : Codec.Reader.t;
   gout : Codec.Out.t;
-  mutable gsrc : Sim.Proc_id.t option;
+  mutable ghello : bool;  (* the session's [Hello] was accepted *)
   mutable gclosing : bool;
   mutable gframes : int;  (* frames queued since the last completed flush *)
   mutable gpaused : bool;
@@ -124,18 +121,11 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
     Mutex.lock mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
   in
-  (* Per-slot keyed object tables: key id -> automaton state.  Key 0 is
-     the pre-keyspace register and exists from the start, so untagged
-     [Msg]/[Msg_from] traffic behaves exactly as before; other keys are
+  (* Per-slot keyed object tables: key id -> automaton state, each key
      materialized on first contact.  A table is only ever touched by the
      slot's owning domain (the same invariant [steppers] asserts for the
      automata), so no lock guards it. *)
-  let objs : P.obj ref Keys.t array =
-    Array.init s (fun i ->
-        let tbl = Keys.create 16 in
-        Keys.replace tbl 0 (ref (fresh i));
-        tbl)
-  in
+  let objs : P.obj ref Keys.t array = Array.init s (fun _ -> Keys.create 16) in
   let obj_for i key =
     match Keys.find_opt objs.(i) key with
     | Some r -> r
@@ -380,28 +370,17 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
       append_frame c (Codec.Err msg);
       c.gclosing <- true
     in
-    (* One path for every protocol message: untagged [Msg] (key 0, the
-       session's sender), [Msg_from] (key 0, inline sender) and
-       [Msg_key]. *)
-    let on_msg c framing ~key ~sender m =
-      match c.gsrc with
-      | None -> fail c "protocol message before hello"
-      | Some _ as session -> (
-          match
-            match framing with
-            | Untagged -> session
-            | From | Keyed -> proc_of_string sender
-          with
-          | None -> fail c (Printf.sprintf "invalid sender %S" sender)
-          | Some src -> (
-              match deliver c ~key ~src m with
-              | None -> ()
-              | Some r ->
-                  append_frame c
-                    (match framing with
-                    | Untagged -> Codec.Msg r
-                    | From -> Codec.Msg_from { sender; msg = r }
-                    | Keyed -> Codec.Msg_key { key; sender; msg = r })))
+    (* Every protocol message is a [Msg_key]; its reply echoes the key
+       and sender. *)
+    let on_msg c ~key ~sender m =
+      if not c.ghello then fail c "protocol message before hello"
+      else
+        match proc_of_string sender with
+        | None -> fail c (Printf.sprintf "invalid sender %S" sender)
+        | Some src -> (
+            match deliver c ~key ~src m with
+            | None -> ()
+            | Some r -> append_frame c (Codec.Msg_key { key; sender; msg = r }))
     in
     let on_frame c = function
       | Codec.Hello { proto; sender; obj = dialed } -> (
@@ -417,13 +396,12 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
           else
             match proc_of_string sender with
             | None -> fail c (Printf.sprintf "invalid sender %S" sender)
-            | Some p ->
-                c.gsrc <- Some p;
+            | Some _ ->
+                c.ghello <- true;
                 append_frame c
                   (Codec.Hello_ack { proto = P.name; obj = index }))
-      | Codec.Msg m -> on_msg c Untagged ~key:0 ~sender:"" m
-      | Codec.Msg_from { sender; msg } -> on_msg c From ~key:0 ~sender msg
-      | Codec.Msg_key { key; sender; msg } -> on_msg c Keyed ~key ~sender msg
+      | Codec.Msg_key { key; sender; msg } -> on_msg c ~key ~sender msg
+      | Codec.Msg _ | Codec.Msg_from _ -> fail c "untagged protocol message"
       | Codec.Hello_ack _ -> fail c "unexpected hello_ack"
       | Codec.Err _ -> c.gclosing <- true
     in
@@ -481,7 +459,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
                     gobj = aslot;
                     greader = Codec.Reader.create ();
                     gout = Codec.Out.create ();
-                    gsrc = None;
+                    ghello = false;
                     gclosing = false;
                     gframes = 0;
                     gpaused = false;
@@ -654,10 +632,7 @@ let start_group ?metrics ?indices ?(domains = 1) ?(queue_hi = 256 * 1024)
   and restart_obj i ~wipe =
     locked (fun () ->
         if alive.(i) then invalid_arg "Server.restart: server still alive";
-        if wipe then begin
-          Keys.reset objs.(i);
-          Keys.replace objs.(i) 0 (ref (fresh i))
-        end;
+        if wipe then Keys.reset objs.(i);
         let fd, actual = Endpoint.listen actuals.(i) in
         Unix.set_nonblock fd;
         listeners.(i) <- Some fd;

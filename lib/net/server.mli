@@ -13,9 +13,10 @@
     object index the client dialed; mismatches are answered with a
     terminal {!Codec.Err} frame, so a client pointed at the wrong server
     fails loudly instead of feeding garbage into a state machine.
-    Protocol messages arrive as [Msg_key] (what clients send) or as the
-    untagged [Msg]/[Msg_from] of older peers, which address key 0; each
-    reply echoes its request's framing.
+    Protocol messages arrive as [Msg_key], and each reply echoes the
+    request's key and sender; each slot materializes a key's object on
+    the key's first message.  An untagged [Msg]/[Msg_from] frame is a
+    protocol violation like any other: [Err], then close.
 
     [stop] is the graceful path (stop accepting, let queued replies
     flush, close); [crash] tears the sockets down hard — the loopback

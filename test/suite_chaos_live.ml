@@ -16,6 +16,9 @@ let ok_exn what = function
   | Ok o -> o
   | Error e -> Alcotest.failf "%s failed: %s" what e
 
+(* [n] reads of the single register, for [Net.Cluster.run]. *)
+let reads n = Array.make n (Net.Client.Read { key = 0 })
+
 let value_of (o : Net.Client.outcome) =
   match o.value with
   | Some v -> Core.Value.to_string v
@@ -190,7 +193,7 @@ let crash_mid_pipelined_window () =
             Net.Cluster.crash c 3)
           ()
       in
-      let results = Net.Cluster.read_pipelined c ~inflight:16 ~ops:200 in
+      let results = Net.Cluster.run c ~inflight:16 (reads 200) in
       Thread.join killer;
       let failures =
         Array.to_list results
@@ -231,7 +234,7 @@ let crash_mid_fast_read_window () =
             Net.Cluster.crash c 3)
           ()
       in
-      let results = Net.Cluster.read_pipelined c ~inflight:16 ~ops:200 in
+      let results = Net.Cluster.run c ~inflight:16 (reads 200) in
       Thread.join killer;
       let outcomes =
         Array.to_list results
@@ -280,7 +283,7 @@ let below_bound_never_one_round () =
             Net.Cluster.restart_exn c 2)
           ()
       in
-      let results = Net.Cluster.read_pipelined c ~inflight:16 ~ops:200 in
+      let results = Net.Cluster.run c ~inflight:16 (reads 200) in
       Thread.join killer;
       Array.iteri
         (fun i r ->

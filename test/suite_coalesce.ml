@@ -131,14 +131,14 @@ let coalesced_schedules_are_regular () =
                   Net.Client.Keyed.Write { key = base + key; value })
             (Workload.Keyspace.ops wgen 60)
         in
-        let results = Net.Cluster.run_keyed ~inflight:32 ~coalesce c ~map kops in
+        let results = Net.Cluster.run ~inflight:32 ~coalesce ~map c kops in
         Array.for_all (function Ok _ -> true | Error _ -> false) results
         && List.for_all
              (fun (key, h) ->
                key < base
                || (Histories.Checks.is_safe ~equal:String.equal h
                   && Histories.Checks.is_regular ~equal:String.equal h))
-             (Net.Cluster.keyed_histories c)
+             (Net.Cluster.histories c)
       in
       QCheck.Test.check_exn
         (QCheck.Test.make ~name:"coalesced keyed schedules" ~count:10 arb prop);
@@ -166,15 +166,7 @@ let crash_mid_coalesced_run () =
         Workload.Keyspace.make_exn ~skew:1.2 ~write_ratio:0.1 ~keys:4 ~seed:7
           ()
       in
-      let kops =
-        Array.map
-          (fun op ->
-            match op with
-            | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
-            | Workload.Keyspace.Write { key; value } ->
-                Net.Client.Keyed.Write { key; value })
-          (Workload.Keyspace.ops wgen 200)
-      in
+      let kops = Workload.Keyspace.ops wgen 200 in
       (* Kill a server while the coalesced hot-key window is in flight;
          t = 1, so the lead rounds retransmit around the hole and every
          batch member must still complete. *)
@@ -185,7 +177,7 @@ let crash_mid_coalesced_run () =
             Net.Cluster.crash c 3)
           ()
       in
-      let results = Net.Cluster.run_keyed ~inflight:32 ~coalesce:16 c ~map kops in
+      let results = Net.Cluster.run ~inflight:32 ~coalesce:16 ~map c kops in
       Thread.join killer;
       let failures =
         Array.to_list results
@@ -207,7 +199,7 @@ let crash_mid_coalesced_run () =
             (Printf.sprintf "key %d history is regular" key)
             true
             (Histories.Checks.is_regular ~equal:String.equal h))
-        (Net.Cluster.keyed_histories c);
+        (Net.Cluster.histories c);
       Alcotest.(check int) "no partition violations" 0
         (Net.Cluster.partition_violations c);
       match Net.Cluster.metrics c with

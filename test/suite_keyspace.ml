@@ -265,22 +265,13 @@ let keyed_cluster_histories_check () =
         Workload.Keyspace.make_exn ~skew:0.5 ~write_ratio:0.3 ~keys:8 ~seed:11
           ()
       in
-      let kops =
-        Array.map
-          (fun op ->
-            match op with
-            | Workload.Keyspace.Read { key } -> Net.Client.Keyed.Read { key }
-            | Workload.Keyspace.Write { key; value } ->
-                Net.Client.Keyed.Write { key; value })
-          (Workload.Keyspace.ops gen 120)
-      in
-      let results = Net.Cluster.run_keyed c ~map kops in
+      let results = Net.Cluster.run c ~map (Workload.Keyspace.ops gen 120) in
       Array.iteri
         (fun i r -> ignore (ok_exn (Printf.sprintf "keyed op %d" i) r))
         results;
       Alcotest.(check bool) "touched several keys" true
         (Net.Cluster.keys_touched c > 1);
-      let histories = Net.Cluster.keyed_histories c in
+      let histories = Net.Cluster.histories c in
       Alcotest.(check bool) "recorded per-key histories" true
         (List.length histories > 1);
       List.iter
@@ -315,8 +306,9 @@ let keyed_cluster_histories_check () =
                 true (fast > 0)
           done)
 
-(* Untagged frames address key 0: a legacy (pre-keyspace) writer and a
-   keyed reader of key 0 see the same register. *)
+(* The single register is key 0 of the keyspace, with one history: a
+   serial [Cluster.write] and keyed reads of key 0 record into the same
+   key-0 history, and that history checks out. *)
 let key_zero_is_the_legacy_register () =
   let c =
     Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg3 ~readers:1 ()
@@ -325,22 +317,26 @@ let key_zero_is_the_legacy_register () =
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
       let _ =
-        ok_exn "legacy write" (Net.Cluster.write c (Core.Value.v "legacy"))
+        ok_exn "serial write" (Net.Cluster.write c (Core.Value.v "legacy"))
       in
       let map = Shard.Map.make_exn ~keys:4 ~fleet:3 ~cfg:cfg3 () in
-      (* don't record: the legacy write lives in the main history, so a
-         keyed key-0 history would see a read of a write it never saw *)
-      let results =
-        Net.Cluster.run_keyed c ~map
-          ~sample:(fun _ -> false)
-          [| Net.Client.Keyed.Read { key = 0 } |]
-      in
-      let o = ok_exn "keyed read of key 0" results.(0) in
-      match o.Net.Client.value with
-      | Some v ->
-          Alcotest.(check string) "keyed read sees the untagged write"
-            "legacy" (Core.Value.to_string v)
-      | None -> Alcotest.fail "keyed read of key 0 returned no value")
+      Net.Cluster.run c ~map (Array.make 5 (Net.Client.Read { key = 0 }))
+      |> Array.iteri (fun i r ->
+             let o = ok_exn (Printf.sprintf "keyed read %d of key 0" i) r in
+             Alcotest.(check (option string))
+               "keyed read sees the serial write" (Some "legacy")
+               (Option.map Core.Value.to_string o.Net.Client.value));
+      match Net.Cluster.histories c with
+      | [ (0, h) ] ->
+          Alcotest.(check int) "one history holds the write and the reads" 6
+            (List.length h);
+          Alcotest.(check bool) "key 0 history is safe" true
+            (Histories.Checks.is_safe ~equal:String.equal h);
+          Alcotest.(check bool) "key 0 history is regular" true
+            (Histories.Checks.is_regular ~equal:String.equal h)
+      | hs ->
+          Alcotest.failf "expected key 0's history alone, got keys [%s]"
+            (String.concat "; " (List.map (fun (k, _) -> string_of_int k) hs)))
 
 (* A failed run leaves nothing behind for the client's next run to
    complete against its own results.  A key outside the map raises
@@ -413,106 +409,6 @@ let failed_run_leaves_nothing_behind () =
                   (Option.map Core.Value.to_string o.Net.Client.value))
             reads))
 
-(* Clients only send [Msg_key], but servers still answer the untagged
-   [Msg] frames of older peers, on key 0.  A WRITE and a READ driven by
-   hand over raw sockets in [Msg] frames get [Msg] replies, and a keyed
-   read of key 0 then returns the written value. *)
-let legacy_msg_frames_reach_key_zero () =
-  let protocol = Net.Protocols.safe in
-  let (Net.Protocols.Packed { proto = (module P); codec }) = protocol in
-  let c = Net.Cluster.start ~protocol ~cfg:cfg3 ~readers:1 () in
-  Fun.protect
-    ~finally:(fun () -> Net.Cluster.stop c)
-    (fun () ->
-      (* One session per object, opened with a [Hello] naming [sender];
-         run an automaton operation to its decision in [Msg] frames. *)
-      let run_legacy ~sender first feed =
-        let conns =
-          Array.mapi
-            (fun i ep ->
-              let fd = Net.Endpoint.dial ep in
-              Net.Codec.send fd
-                (Net.Codec.encode_frame codec
-                   (Net.Codec.Hello { proto = P.name; sender; obj = i + 1 }));
-              (fd, Net.Codec.Reader.create ()))
-            (Net.Cluster.endpoints c)
-        in
-        let broadcast m =
-          Array.iter
-            (fun (fd, _) ->
-              Net.Codec.send fd
-                (Net.Codec.encode_frame codec (Net.Codec.Msg m)))
-            conns
-        in
-        broadcast first;
-        let decided = ref None in
-        while !decided = None do
-          let ready, _, _ =
-            Unix.select (Array.to_list (Array.map fst conns)) [] [] 5.0
-          in
-          if ready = [] then Alcotest.fail "legacy operation stalled";
-          Array.iteri
-            (fun i (fd, rd) ->
-              if List.mem fd ready then begin
-                if Net.Codec.recv_into fd rd = 0 then
-                  Alcotest.fail "server closed a legacy session";
-                let rec drain () =
-                  match Net.Codec.Reader.next codec rd with
-                  | Ok `Awaiting -> ()
-                  | Ok (`Frame (Net.Codec.Hello_ack _)) -> drain ()
-                  | Ok (`Frame (Net.Codec.Msg reply)) ->
-                      List.iter
-                        (function
-                          | Core.Events.Broadcast m -> broadcast m
-                          | Core.Events.Read_done { value; _ } ->
-                              decided := Some (Some value)
-                          | Core.Events.Write_done _ -> decided := Some None)
-                        (feed ~obj:(i + 1) reply);
-                      drain ()
-                  | Ok (`Frame f) ->
-                      Alcotest.failf "untagged request answered with %s"
-                        (Net.Codec.frame_info ~msg_info:(fun _ -> "msg") f)
-                  | Error e -> Alcotest.failf "decode error: %s" e
-                in
-                drain ()
-              end)
-            conns
-        done;
-        Array.iter (fun (fd, _) -> Unix.close fd) conns;
-        Option.get !decided
-      in
-      let writer, first =
-        Result.get_ok
-          (P.writer_start (P.writer_init ~cfg:cfg3) (Core.Value.v "legacy"))
-      in
-      let writer = ref writer in
-      ignore
-        (run_legacy ~sender:"w" first (fun ~obj m ->
-             let w, evs = P.writer_on_msg !writer ~obj m in
-             writer := w;
-             evs));
-      let reader, first =
-        Result.get_ok (P.reader_start (P.reader_init ~cfg:cfg3 ~j:1))
-      in
-      let reader = ref reader in
-      Alcotest.(check (option string)) "legacy read sees the legacy write"
-        (Some "legacy")
-        (Option.map Core.Value.to_string
-           (run_legacy ~sender:"r1" first (fun ~obj m ->
-                let r, evs = P.reader_on_msg !reader ~obj m in
-                reader := r;
-                evs)));
-      let map = Shard.Map.make_exn ~keys:4 ~fleet:3 ~cfg:cfg3 () in
-      let results =
-        Net.Cluster.run_keyed c ~map
-          ~sample:(fun _ -> false)
-          [| Net.Client.Keyed.Read { key = 0 } |]
-      in
-      let o = ok_exn "keyed read of key 0" results.(0) in
-      Alcotest.(check (option string)) "keyed read sees the untagged write"
-        (Some "legacy")
-        (Option.map Core.Value.to_string o.Net.Client.value))
-
 let suite =
   ( "keyspace",
     [
@@ -538,6 +434,4 @@ let suite =
         key_zero_is_the_legacy_register;
       Alcotest.test_case "a failed run leaves nothing behind" `Quick
         failed_run_leaves_nothing_behind;
-      Alcotest.test_case "untagged Msg frames reach key 0" `Quick
-        legacy_msg_frames_reach_key_zero;
     ] )

@@ -19,6 +19,9 @@ let ok_exn what = function
   | Ok o -> o
   | Error e -> Alcotest.failf "%s failed: %s" what e
 
+(* [n] reads of the single register, for [Net.Cluster.run]. *)
+let reads n = Array.make n (Net.Client.Read { key = 0 })
+
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
@@ -285,7 +288,7 @@ let pipelined_chaos_zero_failures () =
       let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "durable")) in
       let failures = ref 0 in
       let run n =
-        Net.Cluster.read_pipelined c ~inflight:16 ~ops:n
+        Net.Cluster.run c ~inflight:16 (reads n)
         |> Array.iteri (fun k -> function
              | Ok o ->
                  if value_of o <> "durable" then begin
@@ -391,11 +394,40 @@ let pipelined_matches_serial () =
           value_of (ok_exn "serial read" (Net.Cluster.read c ~reader:1)))
       in
       let piped =
-        Net.Cluster.read_pipelined c ~inflight:4 ~ops:20
+        Net.Cluster.run c ~inflight:4 (reads 20)
         |> Array.to_list
         |> List.map (fun r -> value_of (ok_exn "pipelined read" r))
       in
       Alcotest.(check (list string)) "pipelined values match serial" serial piped)
+
+(* Changing the window rebuilds the cluster's op engine; the retired
+   engine's metrics and spans must still count, so the merged registry
+   and the spans cover every read the history holds. *)
+let rebuilt_engine_keeps_metrics () =
+  let c =
+    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg4
+      ~readers:1 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "kept")) in
+      List.iter
+        (fun inflight ->
+          Array.iter
+            (fun r -> ignore (ok_exn "read" r))
+            (Net.Cluster.run c ~inflight (reads 10)))
+        [ 4; 8 ];
+      let history = Net.Cluster.history c in
+      Alcotest.(check int) "history holds every read" 20
+        (List.length (List.filter Histories.Op.is_read history));
+      Alcotest.(check int) "a completed span per op" 21
+        (List.length (List.filter Obs.Span.completed (Net.Cluster.spans c)));
+      match Net.Cluster.metrics c with
+      | None -> Alcotest.fail "metrics requested but absent"
+      | Some m ->
+          Alcotest.(check int) "op.read.completed counts every read" 20
+            (Obs.Metrics.counter_value m "op.read.completed"))
 
 (* ----- poll event-loop server mode ---------------------------------------- *)
 
@@ -419,7 +451,7 @@ let poll_loop_cluster () =
       Alcotest.(check (list int)) "all back" [ 1; 2; 3; 4 ]
         (Net.Cluster.alive c);
       let failures = ref 0 in
-      Net.Cluster.read_pipelined c ~inflight:8 ~ops:200
+      Net.Cluster.run c ~inflight:8 (reads 200)
       |> Array.iter (function
            | Ok o -> if value_of o <> "poll" then incr failures
            | Error _ -> incr failures);
@@ -501,6 +533,8 @@ let suite =
         `Quick pipelined_byzantine_silent;
       Alcotest.test_case "pipelined results match serial" `Quick
         pipelined_matches_serial;
+      Alcotest.test_case "a rebuilt engine's metrics and spans still count"
+        `Quick rebuilt_engine_keeps_metrics;
       Alcotest.test_case "poll event-loop server mode" `Quick poll_loop_cluster;
       Alcotest.test_case "fleet release removes its sockets and directory"
         `Quick fleet_release_removes_sockets;

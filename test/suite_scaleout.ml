@@ -74,7 +74,7 @@ let drain_until_eof what fd reader =
   let n = ref 0 in
   let rec go () =
     match Net.Codec.Reader.next codec reader with
-    | Ok (`Frame (Net.Codec.Msg_from _ | Net.Codec.Msg _)) ->
+    | Ok (`Frame (Net.Codec.Msg_key _)) ->
         incr n;
         go ()
     | Ok (`Frame f) ->
@@ -96,8 +96,8 @@ let drain_until_eof what fd reader =
 
 let read1_frame ~sender ~tsr =
   Net.Codec.encode_frame codec
-    (Net.Codec.Msg_from
-       { sender; msg = Core.Messages.Read1 { tsr; from_ts = 0 } })
+    (Net.Codec.Msg_key
+       { key = 0; sender; msg = Core.Messages.Read1 { tsr; from_ts = 0 } })
 
 (* ----- graceful stop drains write queues -------------------------------- *)
 

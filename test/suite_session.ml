@@ -18,6 +18,8 @@ let msg =
 
 let hello = Net.Codec.Hello { proto = P.name; sender = "w"; obj = 1 }
 
+let keyed sender = Net.Codec.Msg_key { key = 0; sender; msg }
+
 (* Open a session on object 1, send [frames] in one write, and collect
    every frame the server sends until it closes the connection. *)
 let exchange frames =
@@ -72,32 +74,30 @@ let expect_err ~ack ~says frames () =
 let before_hello m =
   expect_err ~ack:false ~says:"protocol message before hello" [ m; hello ]
 
-let bad_sender m sender =
+let bad_sender sender =
   expect_err ~ack:true ~says:(Printf.sprintf "invalid sender %S" sender)
-    [ hello; m; Net.Codec.Msg msg ]
+    [ hello; keyed sender; keyed "w" ]
+
+(* Servers speak only [Msg_key]: an untagged frame, with or without an
+   inline sender, ends an open session like any other violation. *)
+let untagged_rejected () =
+  List.iter
+    (fun m ->
+      expect_err ~ack:true ~says:"untagged protocol message"
+        [ hello; m; keyed "w" ] ())
+    [ Net.Codec.Msg msg; Net.Codec.Msg_from { sender = "w"; msg } ]
 
 let suite =
   ( "session",
     [
-      Alcotest.test_case "Msg before hello" `Quick
-        (before_hello (Net.Codec.Msg msg));
-      Alcotest.test_case "Msg_from before hello" `Quick
-        (before_hello (Net.Codec.Msg_from { sender = "w"; msg }));
+      Alcotest.test_case "untagged frame is rejected" `Quick untagged_rejected;
       Alcotest.test_case "Msg_key before hello" `Quick
-        (before_hello (Net.Codec.Msg_key { key = 0; sender = "w"; msg }));
-      Alcotest.test_case "Msg_key from sender x1" `Quick
-        (bad_sender (Net.Codec.Msg_key { key = 0; sender = "x1"; msg }) "x1");
-      Alcotest.test_case "Msg_key from sender r0" `Quick
-        (bad_sender (Net.Codec.Msg_key { key = 0; sender = "r0"; msg }) "r0");
-      Alcotest.test_case "Msg_from from sender x1" `Quick
-        (bad_sender (Net.Codec.Msg_from { sender = "x1"; msg }) "x1");
-      Alcotest.test_case "Msg_from from sender r0" `Quick
-        (bad_sender (Net.Codec.Msg_from { sender = "r0"; msg }) "r0");
+        (before_hello (keyed "w"));
+      Alcotest.test_case "Msg_key from sender x1" `Quick (bad_sender "x1");
+      Alcotest.test_case "Msg_key from sender r0" `Quick (bad_sender "r0");
       Alcotest.test_case "Hello_ack from the client" `Quick
         (expect_err ~ack:true ~says:"unexpected hello_ack"
            [
-             hello;
-             Net.Codec.Hello_ack { proto = P.name; obj = 1 };
-             Net.Codec.Msg msg;
+             hello; Net.Codec.Hello_ack { proto = P.name; obj = 1 }; keyed "w";
            ]);
     ] )
