@@ -10,8 +10,8 @@
 
    Load comes from E18_CLIENTS in-process client domains, each driving
    its own pipelined mux (disjoint reader-id ranges, E18_INFLIGHT ops in
-   flight) against the shared group; all client domains start each
-   timed pass on an atomic barrier.  For each domain count:
+   flight) against the shared group, all through one Net.Cluster.run
+   that starts them on one barrier.  For each domain count:
 
    1. throughput: total ops/s across client domains (the cell's wall is
       the slowest domain's) and per-op latency p50/p99;
@@ -20,8 +20,9 @@
       and must pass the safety and regularity checkers (the sampled
       subset -- recording every domain would serialize them on the
       recorder lock and distort the measurement);
-   3. wire efficiency: the merged per-object server registries must show
-      wire.batch_size p50 > 1 (scale-out must not destroy coalescing);
+   3. wire efficiency: the merged server and client registries must
+      show wire.batch_size p50 > 1 (scale-out must not destroy frame
+      coalescing on either side of the wire);
    4. partitioning: Server.partition_violations must stay 0 (no base
       object stepped outside its owning domain).
 
@@ -50,13 +51,12 @@ let run () =
     Exp_common.getenv_list "E18_DOMAINS" [ 1; 2; 4; 8 ]
       (Exp_common.int_at_least 1)
   in
-  let protocol = Net.Protocols.safe in
   let cfg = Quorum.Config.make_exn ~s:4 ~t:1 ~b:0 in
   let st =
     {
       Exp_fleet.name = "E18";
       transport = Exp_common.transport "E18_TRANSPORT" `Unix;
-      protocol;
+      protocol = Net.Protocols.safe;
       cfg;
       fleet = cfg.Quorum.Config.s;
       domains = 1;
@@ -85,11 +85,7 @@ let run () =
         let c =
           Exp_fleet.run_cell { st with domains = nd }
             ~label:(Printf.sprintf "domains=%-2d" nd)
-            ~seed:(Core.Value.v "e18") ~observe:false
-            ~connect:(fun ~metrics ~now_us endpoints c ->
-              Net.Client.Mux.connect ?metrics ~now_us ~max_inflight:inflight
-                ~first_reader:(1 + (c * inflight))
-                ~protocol ~cfg ~readers:inflight endpoints)
+            ~seed:(Core.Value.v "e18") ~inflight ~coalesce:1
             ~warm:(fun _ -> Array.sub reads 0 (Stdlib.min 200 ops))
             ~draw:(fun _ -> reads)
             ()
@@ -104,7 +100,7 @@ let run () =
               (List.fold_left
                  (fun acc (_, h) -> acc + List.length h)
                  0 c.histories);
-            (* the servers' registries only: the muxes are unobserved *)
+            (* servers' and clients' flushes alike *)
             match Obs.Metrics.find_histogram c.metrics "wire.batch_size" with
             | Some h when Obs.Metrics.Histogram.count h > 0 ->
                 let p50 = Obs.Metrics.Histogram.quantile h 50. in

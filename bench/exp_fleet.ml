@@ -1,14 +1,14 @@
-(* The fleet driver behind the socket scale-out experiments (E18, E19,
-   E20).  A cell starts one Server.start_group over a fleet of loopback
-   endpoints, connects one client engine per load domain, releases every
-   timed pass from one atomic barrier, records client domain 0 through
-   Net.Record (recording every domain would serialize them on the
-   record's lock and distort the measurement) and checks each recorded
-   key's history with the paper's single-register checkers.  Each
-   experiment keeps its own knobs, sweep, cell fields and verdicts. *)
+(* The cell runner behind the socket scale-out experiments (E18, E19,
+   E20).  A cell is one Net.Cluster: Cluster.run drives one client
+   engine per load domain from one barrier and records client domain 0
+   (recording every domain would serialize them on the record's lock
+   and distort the measurement); this module tallies each timed pass
+   and checks each recorded key's history with the paper's
+   single-register checkers.  Each experiment keeps its own knobs,
+   sweep, cell fields and verdicts. *)
 
 type setup = {
-  name : string;  (* experiment label, e.g. "E19": messages, tmpdirs *)
+  name : string;  (* experiment label, e.g. "E19": messages *)
   transport : [ `Unix | `Tcp ];
   protocol : Net.Protocols.t;
   cfg : Quorum.Config.t;
@@ -44,87 +44,47 @@ type cell = {
 
 let cores = Domain.recommended_domain_count ()
 
-(* One measured pass: every client domain draws its ops (untimed), spins
-   on the barrier, then drives them, domain 0 into [record] when given.
-   The pass's wall-clock is the slowest domain's. *)
-let timed_pass ?record clients draw =
-  let n = Array.length clients in
-  let barrier = Atomic.make 0 in
-  let body c () =
-    let ops = draw c in
-    let on_event =
-      match record with
-      | Some r when c = 0 -> Some (Net.Record.tap r ops)
-      | _ -> None
-    in
-    Atomic.incr barrier;
-    while Atomic.get barrier < n do
-      Domain.cpu_relax ()
-    done;
-    let t0 = Unix.gettimeofday () in
-    let results = Net.Client.run_ops ?on_event clients.(c) ops in
-    (Unix.gettimeofday () -. t0, results)
+(* Run one cell on a cluster serving [map] (default: the single
+   register).  [warm c] and [draw c] are client domain [c]'s untimed
+   warmup ops and each trial's ops, run [inflight] deep with reads
+   coalesced up to [coalesce].  With [seed], the cluster's writer first
+   writes it (recorded) and every read must return it.  [sample] picks
+   the recorded keys ({!Net.Cluster.start}). *)
+let run_cell st ~label ?seed ?sample ?map ~inflight ~coalesce ~warm ~draw () =
+  let cluster =
+    Net.Cluster.start ~metrics:true ~transport:st.transport
+      ~domains:st.domains ?sample ?map ~protocol:st.protocol ~cfg:st.cfg
+      ~readers:0 ()
   in
-  Array.map Domain.join (Array.init n (fun c -> Domain.spawn (body c)))
-
-(* Run one cell.  [connect ~metrics ~now_us endpoints c] builds client
-   domain [c]'s engine ([metrics] is a registry iff [observe]); [warm c]
-   and [draw c] are its untimed warmup ops and each trial's ops.  With
-   [seed], a writer first writes it (recorded) and every read must
-   return it.  [sample] picks the recorded keys ({!Net.Record.create}). *)
-let run_cell st ~label ?seed ?sample ~observe ~connect ~warm ~draw () =
-  let loopback =
-    Net.Endpoint.fleet ~transport:st.transport
-      ~prefix:(String.lowercase_ascii st.name)
-      st.fleet
-  in
-  let registries = Array.init st.fleet (fun _ -> Obs.Metrics.create ()) in
-  let servers =
-    Net.Server.start_group
-      ~metrics:(fun i -> registries.(i))
-      ~domains:st.domains ~protocol:st.protocol ~cfg:st.cfg
-      loopback.endpoints
-  in
-  let endpoints = Array.map Net.Server.endpoint servers in
-  (* One microsecond clock for every client: recorded stamps from the
-     seeding writer and from client domain 0 must be mutually ordered. *)
-  let origin = Unix.gettimeofday () in
-  let now_us () = int_of_float ((Unix.gettimeofday () -. origin) *. 1e6) in
-  let record = Net.Record.create ?sample () in
   Option.iter
     (fun value ->
-      let writer =
-        Net.Client.connect ~now_us ~protocol:st.protocol ~cfg:st.cfg
-          ~role:`Writer endpoints
-      in
-      let ops = [| Net.Client.Write { key = 0; value } |] in
-      let on_event = Net.Record.tap record ops in
-      (match (Net.Client.run_ops ~on_event writer ops).(0) with
+      match Net.Cluster.write cluster value with
       | Ok _ -> ()
       | Error e ->
           Printf.eprintf "%s: seed write failed: %s\n" st.name e;
-          exit 1);
-      Net.Client.close writer)
+          exit 1)
     seed;
-  let client_regs =
-    Array.init st.clients (fun _ ->
-        if observe then Some (Obs.Metrics.create ()) else None)
-  in
-  let clients =
-    Array.init st.clients (fun c ->
-        connect ~metrics:client_regs.(c) ~now_us endpoints c)
+  let pass ops =
+    Net.Cluster.run ~inflight ~coalesce cluster (Array.init st.clients ops)
   in
   (* untimed warmup: connections, hellos, first automaton steps *)
-  ignore (timed_pass clients warm);
-  let failures = ref 0 and mismatches = ref 0 and best = ref None in
+  ignore (pass warm);
+  let failures = ref 0 and mismatches = ref 0 in
+  let best =
+    ref
+      { ops = 0; wall = 0.; rate = 0.; lat = Stats.Summary.create ();
+        reads = 0; fast = 0; writes = 0 }
+  in
   for trial = 1 to st.trials do
-    let passes = timed_pass ~record clients draw in
-    let wall = Array.fold_left (fun m (w, _) -> Float.max m w) 0. passes in
+    let passes = pass draw in
+    let wall =
+      Array.fold_left (fun m p -> Float.max m p.Net.Cluster.wall_s) 0. passes
+    in
     let lat = Stats.Summary.create () in
     let ops = ref 0 and reads = ref 0 and fast = ref 0 and writes = ref 0 in
     Array.iter
-      (fun (_, results) ->
-        ops := !ops + Array.length results;
+      (fun (p : Net.Cluster.pass) ->
+        ops := !ops + Array.length p.results;
         Array.iter
           (function
             | Ok (o : Net.Client.outcome) -> (
@@ -140,7 +100,7 @@ let run_cell st ~label ?seed ?sample ~observe ~connect ~warm ~draw () =
             | Error e ->
                 incr failures;
                 Printf.eprintf "%s: op failed: %s\n" st.name e)
-          results)
+          p.results)
       passes;
     let rate = float_of_int !ops /. wall in
     Exp_common.note
@@ -149,28 +109,13 @@ let run_cell st ~label ?seed ?sample ~observe ~connect ~warm ~draw () =
       (Stats.Summary.percentile lat 50.)
       (Stats.Summary.percentile lat 99.)
       !fast !reads;
-    match !best with
-    | Some b when b.rate >= rate -> ()
-    | _ ->
-        best :=
-          Some
-            {
-              ops = !ops;
-              wall;
-              rate;
-              lat;
-              reads = !reads;
-              fast = !fast;
-              writes = !writes;
-            }
+    if rate > !best.rate then
+      best :=
+        { ops = !ops; wall; rate; lat; reads = !reads; fast = !fast;
+          writes = !writes }
   done;
-  let keys_touched =
-    Array.fold_left (fun acc c -> acc + Net.Client.keys_touched c) 0 clients
-  in
-  Array.iter Net.Client.close clients;
-  Array.iter Net.Server.stop servers;
-  Net.Endpoint.release loopback;
-  let histories = Net.Record.histories record in
+  Net.Cluster.stop cluster;
+  let histories = Net.Cluster.histories cluster in
   let bad ok = if ok then 0 else 1 in
   let violations =
     List.fold_left
@@ -180,30 +125,15 @@ let run_cell st ~label ?seed ?sample ~observe ~connect ~warm ~draw () =
         + bad (Histories.Checks.is_regular ~equal:String.equal h))
       0 histories
   in
-  let metrics = Obs.Metrics.create () in
-  let merge r = Obs.Metrics.merge_into ~dst:metrics r in
-  Array.iter merge registries;
-  Array.iter (Option.iter merge) client_regs;
-  let none =
-    {
-      ops = 0;
-      wall = 0.;
-      rate = 0.;
-      lat = Stats.Summary.create ();
-      reads = 0;
-      fast = 0;
-      writes = 0;
-    }
-  in
   {
-    best = Option.value !best ~default:none;
+    best = !best;
     failures = !failures;
     mismatches = !mismatches;
     histories;
     violations;
-    partition = Net.Server.partition_violations servers.(0);
-    keys_touched;
-    metrics;
+    partition = Net.Cluster.partition_violations cluster;
+    keys_touched = Net.Cluster.keys_touched cluster;
+    metrics = Option.get (Net.Cluster.metrics cluster);
   }
 
 (* E19's and E20's fleet, from the knobs <name>_CLIENTS (2), _FLEET (4),
@@ -232,12 +162,11 @@ let keyed_setup name =
   end;
   st
 
-(* E19's and E20's keyspace cell: regular-gc keyed clients (reader id
-   c+1, disjoint write ownership so every key stays SWMR) on a zipf op
-   mix.  Client domain 0 records the keys IT OWNS (so every write to a
-   recorded key is in its history) with ids below [sample_bound] (where
-   zipf concentrates the traffic).  The warmup is reads only: a warmup
-   write on a recorded key would be missing from its history. *)
+(* E19's and E20's keyspace cell: regular-gc keyed clients (disjoint
+   write ownership, so every key stays SWMR) on a zipf op mix.  Client
+   domain 0 records the keys IT OWNS (so every write to a recorded key
+   is in its history) with ids below [sample_bound] (where zipf
+   concentrates the traffic).  The warmup is reads only. *)
 let keyed_cell st ~label ~keys ~skew ~write_ratio ~sample_bound ~seed ~ops
     ~inflight ~coalesce =
   let map = Shard.Map.make_exn ~keys ~fleet:st.fleet ~cfg:st.cfg () in
@@ -252,10 +181,7 @@ let keyed_cell st ~label ~keys ~skew ~write_ratio ~sample_bound ~seed ~ops
   let cell =
     run_cell st ~label
       ~sample:(fun k -> k < sample_bound && owner k = 0)
-      ~observe:true
-      ~connect:(fun ~metrics ~now_us endpoints c ->
-        Net.Client.Keyed.connect ?metrics ~now_us ~max_inflight:inflight
-          ~reader:(c + 1) ~coalesce ~protocol:st.protocol ~map endpoints)
+      ~map ~inflight ~coalesce
       ~warm:(draw (gens 0.0 7) (Stdlib.min 200 ops))
       ~draw:(draw (gens write_ratio seed) ops)
       ()

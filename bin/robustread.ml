@@ -895,7 +895,14 @@ let domains_arg =
            ($(i,i)-1) mod $(docv), so all automaton steps stay domain-local \
            (clamped to 1..S).")
 
+(* A live command's report: under --metrics the registry's table, under
+   --artifacts its spans (and with --metrics its metrics) as JSONL. *)
 let live_artifacts ~metrics ~artifacts ~spans registry =
+  (match registry with
+  | Some reg when metrics ->
+      Format.printf "--- metrics ---@.%s"
+        (Stats.Table.to_string (Obs.Metrics.table reg))
+  | Some _ | None -> ());
   match artifacts with
   | None -> ()
   | Some dir ->
@@ -967,11 +974,6 @@ let serve_cmd =
     let st = Net.Server.stats server in
     Format.printf "served %d connections, %d messages@." st.connections
       st.messages;
-    (match registry with
-    | Some reg ->
-        Format.printf "--- metrics ---@.%s"
-          (Stats.Table.to_string (Obs.Metrics.table reg))
-    | None -> ());
     live_artifacts ~metrics ~artifacts ~spans:[] registry
   in
   let term =
@@ -1075,11 +1077,6 @@ let client_cmd =
     done;
     let spans = Net.Client.spans client in
     Net.Client.close client;
-    (match registry with
-    | Some reg when metrics ->
-        Format.printf "--- metrics ---@.%s"
-          (Stats.Table.to_string (Obs.Metrics.table reg))
-    | Some _ | None -> ());
     live_artifacts ~metrics ~artifacts ~spans registry;
     if !failures > 0 then exit 1
   in
@@ -1139,6 +1136,28 @@ let coalesce_arg =
            regularity-preserving piggyback batching.  0 (default) \
            disables coalescing; --coalesce with no value uses 64.")
 
+let transport_arg =
+  Arg.(
+    value
+    & opt (enum [ ("unix", `Unix); ("tcp", `Tcp) ]) `Unix
+    & info [ "transport" ] ~docv:"KIND"
+        ~doc:"Socket flavour: $(b,unix) (default) or $(b,tcp) loopback.")
+
+(* Safety-check every recorded key's history, printing each violation;
+   returns how many there are. *)
+let safety_violations histories =
+  List.fold_left
+    (fun acc (key, h) ->
+      let vs = Histories.Checks.check_safety ~equal:String.equal h in
+      List.iter
+        (fun v ->
+          Format.printf "  key %d violation: %a@." key
+            (Histories.Checks.pp_violation ~pp_value:Format.pp_print_string)
+            v)
+        vs;
+      acc + List.length vs)
+    0 histories
+
 let cluster_cmd =
   let readers_arg =
     Arg.(
@@ -1157,13 +1176,6 @@ let cluster_cmd =
     Arg.(
       value & opt int 10
       & info [ "reads" ] ~docv:"N" ~doc:"Reads per reader.")
-  in
-  let transport_arg =
-    Arg.(
-      value
-      & opt (enum [ ("unix", `Unix); ("tcp", `Tcp) ]) `Unix
-      & info [ "transport" ] ~docv:"KIND"
-          ~doc:"Socket flavour: $(b,unix) (default) or $(b,tcp) loopback.")
   in
   let crash_arg =
     Arg.(
@@ -1231,10 +1243,15 @@ let cluster_cmd =
        key ids, so recording a prefix of the id space checks the keys
        that actually saw concurrency. *)
     let observed = metrics || artifacts <> None in
+    let map =
+      if keys > 0 then
+        Some (Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg ())
+      else None
+    in
     let cluster =
       Net.Cluster.start ~metrics:observed ~opts:copts ~transport ~domains
         ~sample:(fun k -> k < 256)
-        ~protocol ~cfg ~readers:0 ()
+        ?map ~protocol ~cfg ~readers:0 ()
     in
     Format.printf "cluster of %a (%s) over %s sockets (%d server domains): \
                    %d writes, %d readers x %d reads (window %d)%s@."
@@ -1253,35 +1270,33 @@ let cluster_cmd =
     in
     (* One op array: the keyspace mix (its writes included), or the
        reads of key 0 after the serial writes. *)
-    let map, ops =
-      if keys > 0 then begin
-        let map =
-          Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg ()
-        in
-        let gen =
-          Workload.Keyspace.make_exn ~skew:zipf ~write_ratio ~keys ~seed ()
-        in
-        let n = writes + (readers * reads) in
-        Format.printf "keyspace: %s; %d ops (zipf %.2f, write ratio %.2f%s)@."
-          (Shard.Map.to_string map) n zipf write_ratio
-          (if coalesce > 1 then Printf.sprintf ", coalesce %d" coalesce
-           else "");
-        (Some map, Workload.Keyspace.ops gen n)
-      end
-      else begin
-        for i = 1 to writes do
-          match
-            Net.Cluster.write cluster (Core.Value.v (Printf.sprintf "v%d" i))
-          with
-          | Ok o -> print_outcome (Printf.sprintf "write(v%d)" i) o
-          | Error e ->
-              record_failure (Printf.sprintf "write v%d FAILED: %s" i e)
-        done;
-        (None, Array.make (readers * reads) (Net.Client.Read { key = 0 }))
-      end
+    let ops =
+      match map with
+      | Some map ->
+          let gen =
+            Workload.Keyspace.make_exn ~skew:zipf ~write_ratio ~keys ~seed ()
+          in
+          let n = writes + (readers * reads) in
+          Format.printf
+            "keyspace: %s; %d ops (zipf %.2f, write ratio %.2f%s)@."
+            (Shard.Map.to_string map) n zipf write_ratio
+            (if coalesce > 1 then Printf.sprintf ", coalesce %d" coalesce
+             else "");
+          Workload.Keyspace.ops gen n
+      | None ->
+          for i = 1 to writes do
+            match
+              Net.Cluster.write cluster
+                (Core.Value.v (Printf.sprintf "v%d" i))
+            with
+            | Ok o -> print_outcome (Printf.sprintf "write(v%d)" i) o
+            | Error e ->
+                record_failure (Printf.sprintf "write v%d FAILED: %s" i e)
+          done;
+          Array.make (readers * reads) (Net.Client.Read { key = 0 })
     in
     let run_ops ops =
-      Net.Cluster.run ~inflight:window ~coalesce ?map cluster ops
+      (Net.Cluster.run ~inflight:window ~coalesce cluster [| ops |]).(0).results
     in
     let alive () =
       String.concat "," (List.map string_of_int (Net.Cluster.alive cluster))
@@ -1319,19 +1334,7 @@ let cluster_cmd =
         | Error e -> record_failure ("post-restart read FAILED: " ^ e))
       crash;
     let histories = Net.Cluster.histories cluster in
-    let bad =
-      List.fold_left
-        (fun acc (key, h) ->
-          let vs = Histories.Checks.check_safety ~equal:String.equal h in
-          List.iter
-            (fun v ->
-              Format.printf "  key %d violation: %a@." key
-                (Histories.Checks.pp_violation ~pp_value:Format.pp_print_string)
-                v)
-            vs;
-          acc + List.length vs)
-        0 histories
-    in
+    let bad = safety_violations histories in
     let partition = Net.Cluster.partition_violations cluster in
     if partition > 0 then
       record_failure
@@ -1355,13 +1358,7 @@ let cluster_cmd =
       (List.length recorded) completed (List.length histories)
       (Net.Cluster.keys_touched cluster)
       (if bad = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" bad);
-    let registry = Net.Cluster.metrics cluster in
-    (match registry with
-    | Some reg when metrics ->
-        Format.printf "--- metrics ---@.%s"
-          (Stats.Table.to_string (Obs.Metrics.table reg))
-    | Some _ | None -> ());
-    live_artifacts ~metrics ~artifacts ~spans registry;
+    live_artifacts ~metrics ~artifacts ~spans (Net.Cluster.metrics cluster);
     Net.Cluster.stop cluster;
     if !failures > 0 || bad > 0 then exit 1
   in
@@ -1382,172 +1379,38 @@ let cluster_cmd =
           the recorded history and export spans/metrics.")
     term
 
-(* ----- load: multi-process saturation driver ----------------------------- *)
+(* ----- load: the client-domain saturation driver ------------------------ *)
 
-(* The saturation workload needs more client-side parallelism than one
-   process can generate (a mux is one thread; the GC and the select loop
-   cap it).  'load' starts a loopback Net.Cluster (the sharded server
-   group) and forks K worker processes of this same binary
-   ('load-worker', hidden), each driving one client with a disjoint
-   reader-id range: a pipelined pool of readers on key 0, or a keyed
-   client with --keys.  Workers export their op.* registries as JSONL
-   and the parent merges them with the cluster's registries into one
-   report. *)
-
-let first_reader_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "first-reader" ] ~docv:"J"
-        ~doc:"First reader id of this worker's range (ids J..J+W-1).")
-
-let ops_per_proc_arg =
-  Arg.(
-    value & opt int 200
-    & info [ "ops"; "n" ] ~docv:"N" ~doc:"READ operations per worker process.")
-
-let load_inflight_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "inflight" ] ~docv:"W"
-        ~doc:"In-flight operation window (= reader slots) per worker process.")
-
-let load_worker_cmd =
-  let endpoints_arg =
-    Arg.(
-      value
-      & opt_all endpoint_conv []
-      & info [ "endpoint"; "e" ] ~docv:"EP"
-          ~doc:"Base-object endpoints, in object order; repeat S times.")
-  in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write this worker's metrics registry as JSONL to $(docv).")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"K"
-          ~doc:"Total worker processes (for keyspace write partitioning).")
-  in
-  let worker_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "worker" ] ~docv:"I"
-          ~doc:"This worker's 0-based index among --workers.")
-  in
-  let run protocol t b s endpoints inflight ops first_reader keys zipf
-      write_ratio coalesce seed workers worker metrics_out copts =
-    let coalesce = max 1 coalesce in
-    let cfg = config ~s ~t ~b () in
-    if List.length endpoints <> cfg.Quorum.Config.s then begin
-      Format.eprintf
-        "robustread: %d endpoints given but the configuration has S = %d \
-         objects@."
-        (List.length endpoints) cfg.Quorum.Config.s;
-      exit 2
-    end;
-    if inflight < 1 || ops < 0 || first_reader < 1 then begin
-      Format.eprintf "robustread: bad --inflight/--ops/--first-reader@.";
-      exit 2
-    end;
-    if workers < 1 || worker < 0 || worker >= workers then begin
-      Format.eprintf "robustread: bad --workers/--worker@.";
-      exit 2
-    end;
-    let registry = Obs.Metrics.create () in
-    let endpoints = Array.of_list endpoints in
-    (* Keyspace mode: a keyed client over the fleet, reading and writing
-       a zipfian mix.  The registers are SWMR, so write ownership is
-       partitioned across workers with the placement mixer: this worker
-       only writes keys where mix(key) mod workers = worker; other write
-       draws become reads (the key-popularity marginal is unchanged).
-       Otherwise a pool of [inflight] readers reads key 0. *)
-    let client, kops =
-      if keys > 0 then begin
-        let map =
-          Shard.Map.make_exn ~keys ~fleet:cfg.Quorum.Config.s ~cfg ()
-        in
-        let gen =
-          Workload.Keyspace.make_exn ~skew:zipf ~write_ratio
-            ~write_filter:(fun k -> Shard.Map.mix k mod workers = worker)
-            ~keys ~seed:(seed + worker) ()
-        in
-        ( Net.Client.Keyed.connect ~metrics:registry ~opts:copts
-            ~max_inflight:inflight ~reader:first_reader ~coalesce ~protocol
-            ~map endpoints,
-          Workload.Keyspace.ops gen ops )
-      end
-      else
-        ( Net.Client.Mux.connect ~metrics:registry ~opts:copts
-            ~max_inflight:inflight ~first_reader ~coalesce ~protocol ~cfg
-            ~readers:inflight endpoints,
-          Array.make ops (Net.Client.Read { key = 0 }) )
-    in
-    (* connections are dialed lazily, by the run *)
-    let t0 = Unix.gettimeofday () in
-    let outcomes = Net.Client.run_ops client kops in
-    Net.Client.close client;
-    let wall = Unix.gettimeofday () -. t0 in
-    let failures =
-      Array.fold_left
-        (fun n -> function Ok _ -> n | Error _ -> n + 1)
-        0 outcomes
-    in
-    let ops_per_s = if wall > 0.0 then float_of_int ops /. wall else 0.0 in
-    (* Per-worker throughput as a gauge: the parent reads each worker's
-       file separately to report the max/min spread before merging
-       (merged gauges keep only the max). *)
-    Obs.Metrics.set_gauge registry "load.worker.ops_per_s" ops_per_s;
-    (match metrics_out with
-    | Some path ->
-        Obs.Export.write_file ~path
-          (Obs.Export.metrics_jsonl
-             ~labels:[ ("proc_first_reader", string_of_int first_reader) ]
-             registry)
-    | None -> ());
-    Format.printf "load-worker r%d..r%d: %d ops in %.3fs (%.0f ops/s), %d \
-                   failed@."
-      first_reader
-      (first_reader + inflight - 1)
-      ops wall ops_per_s failures;
-    if failures > 0 then exit 1
-  in
-  let term =
-    Term.(
-      const run $ net_protocol_arg $ t_arg $ b_arg $ s_arg $ endpoints_arg
-      $ load_inflight_arg $ ops_per_proc_arg $ first_reader_arg $ keys_arg
-      $ zipf_arg $ write_ratio_arg $ coalesce_arg $ seed_arg $ workers_arg
-      $ worker_arg $ metrics_out_arg $ client_opts_args)
-  in
-  Cmd.v
-    (Cmd.info "load-worker" ~docs:Manpage.s_none
-       ~doc:
-         "(internal) One load-generator process: one client (a key-0 read \
-          pool, or a keyed client with --keys) with a disjoint reader-id \
-          range, spawned by 'robustread load'.")
-    term
+(* One client cannot drive several server domains to saturation (an
+   engine is one select loop), so 'load' starts a loopback Net.Cluster
+   and drives --clients K engines from K domains through one
+   Cluster.run: a pipelined pool of readers on key 0 each, or a keyed
+   client each with --keys.  Client 0's operations are recorded and
+   safety-checked. *)
 
 let load_cmd =
-  let procs_arg =
+  let clients_arg =
     Arg.(
       value & opt int 2
-      & info [ "procs"; "k" ] ~docv:"K"
-          ~doc:"Client worker processes to fork (disjoint reader-id ranges).")
+      & info [ "clients"; "k" ] ~docv:"K"
+          ~doc:"Client domains, each driving one pipelined client.")
   in
-  let transport_arg =
+  let ops_arg =
     Arg.(
-      value
-      & opt (enum [ ("unix", `Unix); ("tcp", `Tcp) ]) `Unix
-      & info [ "transport" ] ~docv:"KIND"
-          ~doc:"Socket flavour: $(b,unix) (default) or $(b,tcp) loopback.")
+      value & opt int 200
+      & info [ "ops"; "n" ] ~docv:"N" ~doc:"Operations per client.")
   in
-  let run protocol t b s domains procs inflight ops transport keys zipf
+  let inflight_arg =
+    Arg.(
+      value & opt int 8
+      & info [ "inflight" ] ~docv:"W"
+          ~doc:"In-flight operation window (= reader slots) per client.")
+  in
+  let run protocol t b s domains clients inflight ops transport keys zipf
       write_ratio coalesce seed copts metrics artifacts =
-    if procs < 1 || inflight < 1 || ops < 1 then begin
-      Format.eprintf "robustread: --procs, --inflight and --ops must be >= 1@.";
+    if clients < 1 || inflight < 1 || ops < 1 then begin
+      Format.eprintf
+        "robustread: --clients, --inflight and --ops must be >= 1@.";
       exit 2
     end;
     if coalesce < 0 then begin
@@ -1556,13 +1419,29 @@ let load_cmd =
     end;
     let cfg = config ~s ~t ~b () in
     let s = cfg.Quorum.Config.s in
+    (* The registers are SWMR, so in keyspace mode write ownership is
+       partitioned with the placement mixer: client c only writes keys
+       where mix(key) mod K = c; its other write draws become reads
+       (the key-popularity marginal is unchanged).  Only client 0
+       records, so only its keys are sampled, and of those the ids
+       below 256, where zipf concentrates the traffic. *)
+    let owner k = Shard.Map.mix k mod clients in
+    let map =
+      if keys > 0 then Some (Shard.Map.make_exn ~keys ~fleet:s ~cfg ())
+      else None
+    in
+    (* As for [cluster]: components keep registries (and clients spans)
+       only when --metrics or --artifacts asks for them. *)
     let cluster =
-      Net.Cluster.start ~metrics:true ~opts:copts ~transport ~domains ~protocol
-        ~cfg ~readers:0 ()
+      Net.Cluster.start
+        ~metrics:(metrics || artifacts <> None)
+        ~opts:copts ~transport ~domains ?map
+        ~sample:(fun k -> k < 256 && owner k = 0)
+        ~protocol ~cfg ~readers:0 ()
     in
     (* Seed one write so every READ returns a real value.  In keyspace
-       mode the workers own the writes (partitioned per key — the
-       parent writing key 0 here would be a second writer on it). *)
+       mode the clients own the writes (the cluster's writer on key 0
+       would be a second writer of it). *)
     if keys = 0 then begin
       match Net.Cluster.write cluster (Core.Value.v "v1") with
       | Ok _ -> ()
@@ -1572,153 +1451,92 @@ let load_cmd =
           exit 1
     end;
     Format.printf
-      "load: %a (%s) over %s sockets, %d worker domain(s); %d proc(s) x \
+      "load: %a (%s) over %s sockets, %d worker domain(s); %d client(s) x \
        window %d x %d ops%s@."
       Quorum.Config.pp cfg
       (Net.Protocols.name protocol)
       (match transport with `Unix -> "unix" | `Tcp -> "tcp")
       (max 1 (min domains s))
-      procs inflight ops
+      clients inflight ops
       (if keys > 0 then
          Printf.sprintf "; keyspace of %d keys (zipf %.2f, write ratio %.2f%s)"
            keys zipf write_ratio
            (if coalesce > 1 then Printf.sprintf ", coalesce %d" coalesce
             else "")
        else "");
-    Format.print_flush ();
-    (* Private scratch dir for the per-worker metric files. *)
-    let dir = Filename.temp_dir "robustread-load" "" in
-    let metric_file k = Filename.concat dir (Printf.sprintf "proc%d.jsonl" k) in
-    let ep_args =
-      List.concat_map
-        (fun ep -> [ "-e"; Net.Endpoint.to_string ep ])
-        (Array.to_list (Net.Cluster.endpoints cluster))
+    let client_ops c =
+      if keys = 0 then Array.make ops (Net.Client.Read { key = 0 })
+      else
+        Workload.Keyspace.ops
+          (Workload.Keyspace.make_exn ~skew:zipf ~write_ratio
+             ~write_filter:(fun k -> owner k = c)
+             ~keys ~seed:(seed + c) ())
+          ops
     in
+    let work = Array.init clients client_ops in
     let t0 = Unix.gettimeofday () in
-    let pids =
-      List.init procs (fun k ->
-          let k = k + 1 in
-          let argv =
-            [
-              Sys.executable_name; "load-worker";
-              "-p"; Net.Protocols.name protocol;
-              "-t"; string_of_int cfg.Quorum.Config.t;
-              "-b"; string_of_int cfg.Quorum.Config.b;
-              "-s"; string_of_int s;
-              "--inflight"; string_of_int inflight;
-              "--ops"; string_of_int ops;
-              "--first-reader"; string_of_int (1 + ((k - 1) * inflight));
-              "--keys"; string_of_int keys;
-              "--zipf"; Printf.sprintf "%g" zipf;
-              "--write-ratio"; Printf.sprintf "%g" write_ratio;
-              "--coalesce"; string_of_int coalesce;
-              "--seed"; string_of_int seed;
-              "--workers"; string_of_int procs;
-              "--worker"; string_of_int (k - 1);
-              "--metrics-out"; metric_file k;
-              "--deadline"; Printf.sprintf "%g" copts.Net.Client.deadline;
-              "--retries"; string_of_int copts.Net.Client.retries;
-              "--backoff"; Printf.sprintf "%g" copts.Net.Client.backoff;
-            ]
-            @ ep_args
-          in
-          Unix.create_process Sys.executable_name (Array.of_list argv)
-            Unix.stdin Unix.stdout Unix.stderr)
+    let passes =
+      Net.Cluster.run ~inflight ~coalesce:(max 1 coalesce) cluster work
     in
-    let failed = ref 0 in
-    List.iter
-      (fun pid ->
-        match snd (Unix.waitpid [] pid) with
-        | Unix.WEXITED 0 -> ()
-        | _ -> incr failed)
-      pids;
     let wall = Unix.gettimeofday () -. t0 in
     Net.Cluster.stop cluster;
+    let failed = ref 0 and reads = ref 0 in
+    Array.iteri
+      (fun c (p : Net.Cluster.pass) ->
+        Array.iteri
+          (fun i -> function
+            | Ok (o : Net.Client.outcome) -> if o.value <> None then incr reads
+            | Error e ->
+                incr failed;
+                Format.eprintf "client %d op #%d FAILED: %s@." c (i + 1) e)
+          p.results)
+      passes;
     let partition = Net.Cluster.partition_violations cluster in
-    (* Merge the cluster's registries and the per-process client JSONL
-       exports into one registry: counters add, histograms merge. *)
-    let merged = Option.get (Net.Cluster.metrics cluster) in
-    (* Each worker file is parsed into its own registry first: merged
-       gauges keep only the max, and the per-worker ops/s spread needs
-       every worker's value. *)
-    let worker_rates = ref [] in
-    for k = 1 to procs do
-      let path = metric_file k in
-      if Sys.file_exists path then begin
-        let fresh = Obs.Metrics.create () in
-        (match
-           Obs.Export.metrics_of_jsonl ~into:fresh (Obs.Export.read_file path)
-         with
-        | Ok _ ->
-            (match Obs.Metrics.gauge_value fresh "load.worker.ops_per_s" with
-            | Some r when r > 0.0 -> worker_rates := (k, r) :: !worker_rates
-            | _ -> ());
-            Obs.Metrics.merge_into ~dst:merged fresh
-        | Error e ->
-            incr failed;
-            Format.eprintf "robustread: bad metrics from worker %d: %s@." k e);
-        Sys.remove path
-      end
-      else begin
-        incr failed;
-        Format.eprintf "robustread: worker %d left no metrics file@." k
-      end
-    done;
-    Sys.rmdir dir;
-    let total = procs * ops in
+    let total = clients * ops in
     Format.printf
-      "total: %d ops in %.3fs = %.0f ops/s (%d proc(s)); reads completed: %d; \
-       partition violations: %d@."
+      "total: %d ops in %.3fs = %.0f ops/s (%d client(s)); reads completed: \
+       %d; partition violations: %d@."
       total wall
       (if wall > 0.0 then float_of_int total /. wall else 0.0)
-      procs
-      (Obs.Metrics.counter_value merged "op.read.completed")
-      partition;
-    (* Per-worker fairness: a spread ratio near 1 means no worker was
+      clients !reads partition;
+    (* Per-client fairness: a spread ratio near 1 means no client was
        starved by the shared server group. *)
-    (match !worker_rates with
-    | [] -> ()
-    | rates ->
-        let rs = List.map snd rates in
-        let rmin = List.fold_left Float.min (List.hd rs) (List.tl rs) in
-        let rmax = List.fold_left Float.max (List.hd rs) (List.tl rs) in
-        Format.printf
-          "per-worker ops/s: min %.0f, max %.0f, spread ratio %.2f@." rmin rmax
-          (if rmin > 0.0 then rmax /. rmin else Float.infinity));
-    if metrics then
-      Format.printf "--- merged metrics ---@.%s"
-        (Stats.Table.to_string (Obs.Metrics.table merged));
-    (match artifacts with
-    | None -> ()
-    | Some dir ->
-        write_artifacts ~dir
-          [ ("metrics.jsonl", Obs.Export.metrics_jsonl merged) ]);
-    if partition > 0 then begin
-      Format.eprintf
-        "robustread: %d domain-partition violations (an object was stepped \
-         outside its owning domain)@."
-        partition;
-      exit 1
-    end;
-    if !failed > 0 then exit 1
+    let walls = Array.map (fun (p : Net.Cluster.pass) -> p.wall_s) passes in
+    let slow = Array.fold_left Float.max 0.0 walls in
+    let fast = Array.fold_left Float.min infinity walls in
+    Format.printf "per-client ops/s: min %.0f, max %.0f, spread ratio %.2f@."
+      (float_of_int ops /. slow) (float_of_int ops /. fast) (slow /. fast);
+    let histories = Net.Cluster.histories cluster in
+    let bad = safety_violations histories in
+    Format.printf "client 0: %d operations on %d checked key(s) of %d \
+                   touched; safety: %s@."
+      (List.fold_left (fun n (_, h) -> n + List.length h) 0 histories)
+      (List.length histories)
+      (Net.Cluster.keys_touched cluster)
+      (if bad = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" bad);
+    live_artifacts ~metrics ~artifacts ~spans:(Net.Cluster.spans cluster)
+      (Net.Cluster.metrics cluster);
+    if partition > 0 then
+      Format.eprintf "robustread: %d domain-partition violations@." partition;
+    if partition > 0 || !failed > 0 || bad > 0 then exit 1
   in
   let term =
     Term.(
       const run $ net_protocol_arg $ t_arg $ b_arg $ s_arg $ domains_arg
-      $ procs_arg $ load_inflight_arg $ ops_per_proc_arg $ transport_arg
-      $ keys_arg $ zipf_arg $ write_ratio_arg $ coalesce_arg $ seed_arg
+      $ clients_arg $ inflight_arg $ ops_arg $ transport_arg $ keys_arg
+      $ zipf_arg $ write_ratio_arg $ coalesce_arg $ seed_arg
       $ client_opts_args $ metrics_arg $ artifacts_arg)
   in
   Cmd.v
     (Cmd.info "load"
        ~doc:
          "Saturate a sharded poll server group: host all S objects across \
-          --domains worker domains in this process, fork --procs client \
-          processes each driving one pipelined client with a disjoint \
-          reader-id range, then merge every registry (per-object server \
-          metrics + per-process JSONL exports) into one ops/s and wire.* \
-          report.  Exits nonzero on any worker failure or domain-partition \
-          violation.")
+          --domains worker domains in this process, drive --clients client \
+          domains each running one pipelined client with its own reader \
+          ids, safety-check client 0's recorded histories, and report ops/s \
+          (under --metrics, with every server and client registry merged). \
+          Exits nonzero on any failed op, safety violation or \
+          domain-partition violation.")
     term
 
 (* ----- main ------------------------------------------------------------------ *)
@@ -1743,7 +1561,6 @@ let () =
         client_cmd;
         cluster_cmd;
         load_cmd;
-        load_worker_cmd;
       ]
   in
   exit (Cmd.eval main)

@@ -328,7 +328,7 @@ type t = {
     ?on_event:(event -> unit) -> kop array -> (outcome, string) result array;
   spans_ : unit -> Obs.Span.t list;
   connected_ : unit -> int list;
-  keys_touched_ : unit -> int;
+  touched_ : unit -> int list;
   close_ : unit -> unit;
 }
 
@@ -1084,7 +1084,7 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
       (fun () ->
         match obs with None -> [] | Some o -> Obs.Span.spans o.collector);
     connected_ = connected;
-    keys_touched_ = (fun () -> Keys.length regs);
+    touched_ = (fun () -> Keys.fold (fun k _ acc -> k :: acc) regs []);
     close_ = close;
   }
 
@@ -1094,7 +1094,9 @@ let spans t = t.spans_ ()
 
 let connected t = t.connected_ ()
 
-let keys_touched t = t.keys_touched_ ()
+let touched_keys t = t.touched_ ()
+
+let keys_touched t = List.length (touched_keys t)
 
 let close t = t.close_ ()
 

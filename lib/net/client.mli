@@ -134,8 +134,11 @@ val spans : t -> Obs.Span.t list
 val connected : t -> int list
 (** Object indices (fleet slot + 1) with an established connection. *)
 
+val touched_keys : t -> int list
+(** Keys with materialized automata so far, in no particular order. *)
+
 val keys_touched : t -> int
-(** Keys with materialized automata so far. *)
+(** [List.length (touched_keys t)]. *)
 
 val close : t -> unit
 

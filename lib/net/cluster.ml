@@ -1,27 +1,31 @@
 (* One client engine as the cluster drives it, with its registry. *)
 type engine = { client : Client.t; registry : Obs.Metrics.t option }
 
-(* The op engine is created on first use and cached: its slots carry
-   parked (timed-out) operations across calls, so rebuilding one per
-   call would leak half-finished automata. *)
+(* The op engines are created on first use and cached: their slots
+   carry parked (timed-out) operations across calls, so rebuilding them
+   per call would leak half-finished automata. *)
 type cached = {
-  c_inflight : int;
-  c_coalesce : int;
-  c_map : Shard.Map.t option;  (* [None]: the pooled key-0 readers *)
-  c_engine : engine;
+  params : int * int * int;  (* inflight, coalesce, client count *)
+  engines : engine array;  (* one per client of a [run] *)
+}
+
+type pass = {
+  results : (Client.outcome, string) result array;
+  wall_s : float;
 }
 
 type t = {
   cfg : Quorum.Config.t;
+  map : Shard.Map.t option;  (* [None]: the single register *)
   endpoints : Endpoint.t array;  (* what clients dial: proxies if interposed *)
-  chaos_ : Chaos.t array;  (* per-object interposers; empty when direct *)
+  chaos_ : Chaos.t array;  (* per-slot interposers; empty when direct *)
   mutable servers : Server.t array;
   server_registries : Obs.Metrics.t option array;
   writer : engine;
   readers : engine array;
   mutable cached : cached option;
   (* Every engine [run] has built, newest first: a rebuilt one is
-     closed, but its spans and registry still count. *)
+     closed, but its keys, spans and registry still count. *)
   mutable built : engine list;
   (* Every engine records here, each key into its own history. *)
   record : Record.t;
@@ -41,46 +45,58 @@ let engine ~with_metrics connect =
   { client = connect registry; registry }
 
 let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
-    ?(interpose = false) ?sample ~protocol ~cfg ~readers () =
+    ?(interpose = false) ?sample ?map ~protocol ~cfg ~readers () =
   let s = cfg.Quorum.Config.s in
-  (* Servers take the first [s] endpoints, interposers the next [s]. *)
+  let n =
+    match map with
+    | None -> s
+    | Some m ->
+        if not (Quorum.Config.equal (Shard.Map.cfg m) cfg) then
+          invalid_arg "Cluster.start: the map's configuration is not cfg";
+        Shard.Map.fleet m
+  in
+  (* Servers take the first [n] endpoints, interposers the next [n]. *)
   let fleet =
     Endpoint.fleet ~transport ~prefix:"robustread-net"
-      (if interpose then 2 * s else s)
+      (if interpose then 2 * n else n)
   in
   let registry () = if metrics then Some (Obs.Metrics.create ()) else None in
-  let server_registries = Array.init s (fun _ -> registry ()) in
-  (* All S objects sharded across [domains] event-loop domains. *)
+  let server_registries = Array.init n (fun _ -> registry ()) in
+  (* All [n] slots sharded across [domains] event-loop domains. *)
   let servers =
     Server.start_group
       ?metrics:
         (if metrics then Some (fun i -> Option.get server_registries.(i))
          else None)
-      ~domains ~protocol ~cfg (Array.sub fleet.endpoints 0 s)
+      ~domains ~protocol ~cfg (Array.sub fleet.endpoints 0 n)
   in
   (* Ephemeral TCP ports are only known after bind. *)
   let server_endpoints = Array.map Server.endpoint servers in
   let t0 = Unix.gettimeofday () in
   let now_us () = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-  (* With interposition, every client dials a per-object chaos proxy
+  (* With interposition, every client dials a per-slot chaos proxy
      relaying to the real server; the server endpoint stays stable
      across crash/restart, so a proxy never needs re-targeting. *)
   let chaos_ =
     if not interpose then [||]
     else
-      Array.init s (fun i ->
-          Chaos.start ~now_us ~listen:fleet.endpoints.(s + i)
+      Array.init n (fun i ->
+          Chaos.start ~now_us ~listen:fleet.endpoints.(n + i)
             ~target:server_endpoints.(i) ())
   in
   let endpoints =
     if interpose then Array.map Chaos.endpoint chaos_ else server_endpoints
   in
+  (* Key 0's shard is the first S slots under every map, so the serial
+     clients keep the single register's objects. *)
   let slot role =
     engine ~with_metrics:metrics (fun metrics ->
-        Client.connect ?metrics ?opts ~now_us ~protocol ~cfg ~role endpoints)
+        Client.connect ?metrics ?opts ~now_us ~protocol ~cfg ~role
+          (Array.sub endpoints 0 s))
   in
   {
     cfg;
+    map;
     endpoints;
     chaos_;
     servers;
@@ -109,53 +125,103 @@ let read t ~reader =
     invalid_arg (Printf.sprintf "Cluster.read: reader %d" reader);
   (drive t.readers.(reader - 1) t.record [| Client.Read { key = 0 } |]).(0)
 
-(* The cached engine is reused while its parameters hold; otherwise it
-   is closed and a fresh one takes a fresh reader-id range. *)
-let engine_for t ~inflight ~coalesce ~map =
-  match t.cached with
-  | Some c
-    when c.c_inflight = inflight && c.c_coalesce = coalesce
-         && Option.equal ( == ) c.c_map map ->
-      c.c_engine
-  | old ->
-      Option.iter (fun c -> Client.close c.c_engine.client) old;
-      let first = t.next_rid in
-      let connect metrics =
-        match map with
-        | None ->
-            t.next_rid <- first + inflight;
-            Client.Mux.connect ?metrics ?opts:t.copts ~now_us:t.now_us
-              ~max_inflight:inflight ~first_reader:first ~coalesce
-              ~protocol:t.protocol ~cfg:t.cfg ~readers:inflight t.endpoints
-        | Some map ->
-            t.next_rid <- first + 1;
-            Client.Keyed.connect ?metrics ?opts:t.copts ~now_us:t.now_us
-              ~max_inflight:inflight ~reader:first ~coalesce
-              ~protocol:t.protocol ~map t.endpoints
-      in
-      let e = engine ~with_metrics:t.with_metrics connect in
-      t.cached <-
-        Some
-          { c_inflight = inflight; c_coalesce = coalesce; c_map = map;
-            c_engine = e };
-      t.built <- e :: t.built;
-      e
+(* One new op engine on a fresh reader-id range: a pool of [inflight]
+   key-0 readers for the single register, a keyed client otherwise. *)
+let connect_engine t ~inflight ~coalesce =
+  let first = t.next_rid in
+  engine ~with_metrics:t.with_metrics (fun metrics ->
+      match t.map with
+      | None ->
+          t.next_rid <- first + inflight;
+          Client.Mux.connect ?metrics ?opts:t.copts ~now_us:t.now_us
+            ~max_inflight:inflight ~first_reader:first ~coalesce
+            ~protocol:t.protocol ~cfg:t.cfg ~readers:inflight t.endpoints
+      | Some map ->
+          t.next_rid <- first + 1;
+          Client.Keyed.connect ?metrics ?opts:t.copts ~now_us:t.now_us
+            ~max_inflight:inflight ~reader:first ~coalesce
+            ~protocol:t.protocol ~map t.endpoints)
 
-let run ?(inflight = 16) ?(coalesce = 1) ?map t ops =
+(* The cached engines are reused while their parameters and count hold;
+   otherwise they are closed and fresh ones take fresh reader ids. *)
+let engines_for t ~inflight ~coalesce ~clients =
+  let params = (inflight, coalesce, clients) in
+  match t.cached with
+  | Some c when c.params = params -> c.engines
+  | old ->
+      Option.iter
+        (fun c -> Array.iter (fun e -> Client.close e.client) c.engines)
+        old;
+      let engines =
+        Array.init clients (fun _ -> connect_engine t ~inflight ~coalesce)
+      in
+      t.cached <- Some { params; engines };
+      t.built <- List.rev_append (Array.to_list engines) t.built;
+      engines
+
+(* What the engines would reject, rejected before any of them starts:
+   a key outside the cluster's keyspace, or a write on the key-0 read
+   pool. *)
+let check_ops t ops =
+  let keys = match t.map with None -> 1 | Some m -> Shard.Map.keys m in
+  Array.iter
+    (fun (op : Client.kop) ->
+      match op with
+      | Read { key } | Write { key; _ } when key < 0 || key >= keys ->
+          invalid_arg
+            (Printf.sprintf "Cluster.run: key %d outside [0,%d)" key keys)
+      | Write _ when t.map = None ->
+          invalid_arg "Cluster.run: a write without a keyspace map"
+      | Read _ | Write _ -> ())
+    ops
+
+let run ?(inflight = 16) ?(coalesce = 1) t clients =
+  let k = Array.length clients in
   if inflight < 1 then
     invalid_arg (Printf.sprintf "Cluster.run: inflight %d" inflight);
-  (match map with
-  | Some map when Shard.Map.fleet map <> Array.length t.endpoints ->
-      invalid_arg
-        (Printf.sprintf "Cluster.run: map fleet %d, cluster has %d"
-           (Shard.Map.fleet map) (Array.length t.endpoints))
-  | _ -> ());
-  drive (engine_for t ~inflight ~coalesce ~map) t.record ops
-
-let keys_touched t =
-  match t.cached with
-  | None -> 0
-  | Some c -> Client.keys_touched c.c_engine.client
+  if k < 1 then invalid_arg "Cluster.run: no clients";
+  Array.iter (check_ops t) clients;
+  let engines = engines_for t ~inflight ~coalesce ~clients:k in
+  (* Only client 0 records: taps of one record serialize on its lock. *)
+  let on_event = Record.tap t.record clients.(0) in
+  let pass c =
+    let t0 = Unix.gettimeofday () in
+    let results =
+      Client.run_ops
+        ?on_event:(if c = 0 then Some on_event else None)
+        engines.(c).client clients.(c)
+    in
+    { results; wall_s = Unix.gettimeofday () -. t0 }
+  in
+  if k = 1 then [| pass 0 |]
+  else begin
+    (* One domain per client, all released from one barrier.  [abort]
+       releases the spawned ones without running if a later spawn
+       fails. *)
+    let ready = Atomic.make 0 and abort = Atomic.make false in
+    let body c () =
+      Atomic.incr ready;
+      while Atomic.get ready < k && not (Atomic.get abort) do
+        Domain.cpu_relax ()
+      done;
+      if Atomic.get abort then None else Some (pass c)
+    in
+    let spawned = ref [] in
+    (try
+       for c = 0 to k - 1 do
+         spawned := Domain.spawn (body c) :: !spawned
+       done
+     with e ->
+       Atomic.set abort true;
+       List.iter (fun d -> ignore (Domain.join d)) !spawned;
+       raise e);
+    (* Join every domain before re-raising a client's exception. *)
+    List.rev_map
+      (fun d -> match Domain.join d with r -> Ok r | exception e -> Error e)
+      !spawned
+    |> List.map (function Ok r -> Option.get r | Error e -> raise e)
+    |> Array.of_list
+  end
 
 let check_index t i =
   if i < 1 || i > Array.length t.servers then
@@ -207,6 +273,11 @@ let histories t = Record.histories t.record
 (* Writer, serial readers, then every [run] engine, oldest first. *)
 let engines t = (t.writer :: Array.to_list t.readers) @ List.rev t.built
 
+(* Distinct keys: several engines may touch one key. *)
+let keys_touched t =
+  List.concat_map (fun e -> Client.touched_keys e.client) (engines t)
+  |> List.sort_uniq Int.compare |> List.length
+
 let spans t = List.concat_map (fun e -> Client.spans e.client) (engines t)
 
 let metrics t =
@@ -223,7 +294,7 @@ let stop t =
   (* rebuilt engines were closed when they were replaced *)
   List.iter (fun e -> Client.close e.client)
     ((t.writer :: Array.to_list t.readers)
-    @ Option.to_list (Option.map (fun c -> c.c_engine) t.cached));
+    @ Option.fold ~none:[] ~some:(fun c -> Array.to_list c.engines) t.cached);
   Array.iter Chaos.stop t.chaos_;
   Array.iter (fun s -> if Server.alive s then Server.stop s) t.servers;
   Endpoint.release t.fleet

@@ -1,15 +1,17 @@
-(** Loopback cluster harness: S servers plus writer/reader clients in
-    one process.
+(** Loopback cluster harness: a server fleet plus writer/reader
+    clients in one process, and the one driver of parallel client
+    domains.
 
     This is the live counterpart of {!Core.Scenario}: it hosts the base
     objects in one {!Server} group on an {!Endpoint.fleet}
     (Unix-domain sockets in a private temp directory by default, TCP on
     demand), connects the single writer and [readers] serial reader
-    {!Client}s, and drives op arrays through one cached engine
-    ({!run}).  Every operation of every client records through one
-    {!Record}, so the paper's safety/regularity/wait-freedom checkers
-    run on each key's live history exactly as they do on simulated
-    ones.
+    {!Client}s, and drives op arrays through cached engines ({!run}),
+    one per client, each client on its own domain.  A cluster serves
+    one keyspace for its life: the single register, or the {!Shard.Map}
+    given to {!start}.  The operations recorded through its one
+    {!Record} feed the paper's safety/regularity/wait-freedom checkers
+    per key, exactly as simulated histories do.
 
     Chaos hooks mirror the fault campaign's crash-recovery actions:
     {!crash} kills a server's sockets mid-flight (the stand-in for a
@@ -20,10 +22,9 @@
     crash/restart and requires zero failures.
 
     Thread-safety: operations for {e distinct} clients (the writer,
-    each reader, the {!run} engine) may run from distinct threads
-    concurrently; the shared
-    history recorder is internally locked.  One client must not be
-    driven from two threads. *)
+    each reader, a {!run}) may run from distinct threads concurrently;
+    the shared history recorder is internally locked.  One client must
+    not be driven from two threads, and two {!run}s must not overlap. *)
 
 type t
 
@@ -34,22 +35,28 @@ val start :
   ?domains:int ->
   ?interpose:bool ->
   ?sample:(int -> bool) ->
+  ?map:Shard.Map.t ->
   protocol:Protocols.t ->
   cfg:Quorum.Config.t ->
   readers:int ->
   unit ->
   t
-(** Spin up [cfg.s] servers and [readers] reader clients (plus the
-    writer).  [transport] defaults to [`Unix].  The [cfg.s] objects are
-    hosted by one {!Server.start_group} event-loop group, sharded across
-    [domains] worker domains (default 1).  With
+(** Spin up a fleet of servers and [readers] reader clients (plus the
+    writer).  The fleet is [Shard.Map.fleet map] slots serving the
+    map's keyspace, or without [map] the [cfg.s] objects of the single
+    register.  The writer and the serial readers play key 0 on the
+    first [cfg.s] slots, which are key 0's shard under every map.
+    [transport] defaults to [`Unix].  The slots are hosted by one
+    {!Server.start_group} event-loop group, sharded across [domains]
+    worker domains (default 1).  With
     [interpose:true], a {!Chaos} proxy fronts every server and clients
     dial the proxies — {!chaos} exposes them for rule injection; with no
     rules set the interposers are transparent.  With [metrics:true]
     every component keeps a private registry; {!metrics} merges them
     and {!spans} returns the clients' spans.  Without it no client keeps
     per-operation spans; the record keeps every operation either way,
-    on the keys satisfying [sample] (default: every key). *)
+    on the keys satisfying [sample] (default: every key).
+    @raise Invalid_argument if the map's configuration is not [cfg]. *)
 
 val write : t -> Core.Value.t -> (Client.outcome, string) result
 (** One WRITE through the writer client, recorded in the history. *)
@@ -57,42 +64,53 @@ val write : t -> Core.Value.t -> (Client.outcome, string) result
 val read : t -> reader:int -> (Client.outcome, string) result
 (** One READ by reader [reader] (1-based), recorded in the history. *)
 
+type pass = {
+  results : (Client.outcome, string) result array;
+      (** result [i] is op [i]'s outcome *)
+  wall_s : float;  (** from the barrier to this client's last result *)
+}
+
 val run :
   ?inflight:int ->
   ?coalesce:int ->
-  ?map:Shard.Map.t ->
   t ->
-  Client.kop array ->
-  (Client.outcome, string) result array
-(** Drive [ops] through the cluster's cached op engine, up to
-    [inflight] (default 16) progressing at once; result [i] is op
-    [i]'s outcome.  Without [map] the engine is a {!Client.Mux} pool of
-    [inflight] readers on key 0, so [ops] must be key-0 reads.  With
-    [map] it is a {!Client.Keyed} client over the keyspace, reading and
-    writing any key of the map; its writes of key 0 and {!write}'s
-    would make two writers of one register, so use one or the other.
-    The map's fleet must equal the cluster's server count.
+  Client.kop array array ->
+  pass array
+(** [run t clients] drives each op array of [clients] through its own
+    cached engine, up to [inflight] (default 16) ops of each in flight,
+    and returns each client's pass.  One array runs on the caller's
+    domain; [k > 1] arrays run on [k] domains, released from one
+    barrier.  On the single register an engine is a {!Client.Mux} pool
+    of [inflight] readers, so its ops must be key-0 reads; on a
+    keyspace it is a {!Client.Keyed} client, reading and writing any
+    key (its writes of key 0 and {!write}'s would make two writers of
+    one register, so use one or the other).
 
     Every engine takes reader ids above all earlier ones (base objects
-    keep per-reader round state, so ids are never reused), and every
-    op is recorded at its real invoke/respond instants in the
-    cluster's one record, so the checkers see the true concurrency
-    ({!histories}).  Timed-out ops stay open and are resumed by a later
-    call, exactly like the serial path.  [coalesce] (default 1 = off)
-    is the engine's read-coalescing cap; coalesced reads record under
-    fresh recorder reader ids, since they overlap their lead.
-    Changing [inflight], [coalesce] or the map rebuilds the engine; the
-    old one's spans and metrics still count in {!spans} and
-    {!metrics}.
-    @raise Invalid_argument if [inflight < 1], the map's fleet does not
-    match, or an op is one the engine cannot run. *)
+    keep per-reader round state, so ids are never reused).  Client 0's
+    ops are recorded at their real invoke/respond instants, so the
+    checkers see the true concurrency ({!histories}).  No other client
+    records (their taps would serialize the domains on the record's
+    lock), so with [k > 1] a key's history is only whole if client 0
+    makes every write to it: [start]'s [sample] should pick such keys.
+    Timed-out ops stay open and are resumed by a later call, exactly
+    like the serial path.  [coalesce] (default 1 = off) is the read-
+    coalescing cap; coalesced reads record under fresh recorder reader
+    ids, since they overlap their lead.  Changing [inflight],
+    [coalesce] or the client count rebuilds the engines; the old ones
+    still count in {!keys_touched}, {!spans} and {!metrics}.
+    @raise Invalid_argument before any engine starts if [inflight < 1],
+    [clients] is empty, or an op is one the engines cannot run (a key
+    outside the keyspace, a write on the single register). *)
 
 val keys_touched : t -> int
-(** Keys with materialized automata in the cached {!run} engine; 0
-    before the first {!run}. *)
+(** Distinct keys with materialized automata in any of the cluster's
+    clients (the serial ones and every {!run} engine); at most the
+    keyspace's key count. *)
 
 val crash : t -> int -> unit
-(** Hard-kill server for object [i] (1-based); idempotent while down. *)
+(** Hard-kill the server of fleet slot [i] (1-based); idempotent while
+    down. *)
 
 val restart : ?wipe:bool -> t -> int -> (unit, [ `Still_alive of int ]) result
 (** Bring object [i] back on the same endpoint ([wipe] discards its
@@ -134,8 +152,9 @@ val histories : t -> (int * string Histories.Op.t list) list
 
 val spans : t -> Obs.Span.t list
 (** Writer spans, then the serial readers', then those of every {!run}
-    engine, oldest first; all share one microsecond clock.  [[]] unless started with [metrics:true]: clients keep spans
-    exactly when they have a registry. *)
+    engine, oldest first; all share one microsecond clock.  [[]] unless
+    started with [metrics:true]: clients keep spans exactly when they
+    have a registry. *)
 
 val metrics : t -> Obs.Metrics.t option
 (** Merged snapshot of every component registry (servers then clients);

@@ -354,10 +354,11 @@ let metrics_jsonl ?(labels = []) m =
     (Metrics.histograms m);
   Buffer.contents buf
 
-(* Inverse of {!metrics_jsonl}: fold every metric line into a registry.
-   This is what lets a multi-process load driver merge per-process
-   op.*/wire.* registries — counters add, gauges keep the max, and
-   histograms rebuild from their buckets and merge. *)
+(* Inverse of {!metrics_jsonl}: fold every metric line into a registry
+   — counters add, gauges keep the max, and histograms rebuild from
+   their buckets and merge.  Its users are its round-trip tests, and
+   the planned live fleet introspection (ROADMAP item 7), which merges
+   registry snapshots polled from running processes. *)
 let metrics_of_jsonl ?(into = Metrics.create ()) text =
   let float_field = function
     | Json.Int i -> Some (float_of_int i)

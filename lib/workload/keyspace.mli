@@ -24,12 +24,12 @@
     so every key's history has distinct write values and the checkers'
     observed-write mapping stays unambiguous.
 
-    The registers are SWMR: when several processes share one seed-split
+    The registers are SWMR: when several clients share one seed-split
     workload, at most one of them may write any given key.  That is what
-    [write_filter] is for — a process passes a predicate accepting only
-    the keys it owns (e.g. [Shard.Map.mix key mod procs = me]), and the
+    [write_filter] is for — a client passes a predicate accepting only
+    the keys it owns (e.g. [Shard.Map.mix key mod clients = me]), and the
     generator converts non-owned write draws into reads, keeping the
-    key-popularity marginal identical across processes. *)
+    key-popularity marginal identical across clients. *)
 
 type op =
   | Read of { key : int }

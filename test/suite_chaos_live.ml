@@ -19,6 +19,9 @@ let ok_exn what = function
 (* [n] reads of the single register, for [Net.Cluster.run]. *)
 let reads n = Array.make n (Net.Client.Read { key = 0 })
 
+(* One client's results from [Net.Cluster.run]. *)
+let run1 ?inflight c ops = (Net.Cluster.run ?inflight c [| ops |]).(0).results
+
 let value_of (o : Net.Client.outcome) =
   match o.value with
   | Some v -> Core.Value.to_string v
@@ -193,7 +196,7 @@ let crash_mid_pipelined_window () =
             Net.Cluster.crash c 3)
           ()
       in
-      let results = Net.Cluster.run c ~inflight:16 (reads 200) in
+      let results = run1 c ~inflight:16 (reads 200) in
       Thread.join killer;
       let failures =
         Array.to_list results
@@ -234,7 +237,7 @@ let crash_mid_fast_read_window () =
             Net.Cluster.crash c 3)
           ()
       in
-      let results = Net.Cluster.run c ~inflight:16 (reads 200) in
+      let results = run1 c ~inflight:16 (reads 200) in
       Thread.join killer;
       let outcomes =
         Array.to_list results
@@ -283,7 +286,7 @@ let below_bound_never_one_round () =
             Net.Cluster.restart_exn c 2)
           ()
       in
-      let results = Net.Cluster.run c ~inflight:16 (reads 200) in
+      let results = run1 c ~inflight:16 (reads 200) in
       Thread.join killer;
       Array.iteri
         (fun i r ->

@@ -90,15 +90,15 @@ let batch_close_is_idempotent () =
    checkers.  regular-gc at S = 3 = 2t+2b+1 also keeps the fast-read
    path in play, so batches ride one-round reads where admissible. *)
 let coalesced_schedules_are_regular () =
+  let map = Shard.Map.make_exn ~keys:16384 ~fleet:3 ~cfg:cfg3 () in
   let c =
-    Net.Cluster.start ~metrics:true
+    Net.Cluster.start ~metrics:true ~map
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
       ~cfg:cfg3 ~readers:1 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let map = Shard.Map.make_exn ~keys:16384 ~fleet:3 ~cfg:cfg3 () in
       let case = ref 0 in
       let gen =
         QCheck.Gen.(
@@ -131,7 +131,9 @@ let coalesced_schedules_are_regular () =
                   Net.Client.Keyed.Write { key = base + key; value })
             (Workload.Keyspace.ops wgen 60)
         in
-        let results = Net.Cluster.run ~inflight:32 ~coalesce ~map c kops in
+        let results =
+          (Net.Cluster.run ~inflight:32 ~coalesce c [| kops |]).(0).results
+        in
         Array.for_all (function Ok _ -> true | Error _ -> false) results
         && List.for_all
              (fun (key, h) ->
@@ -152,8 +154,9 @@ let coalesced_schedules_are_regular () =
 (* ----- chaos: crash mid-coalesced-batch ----------------------------------- *)
 
 let crash_mid_coalesced_run () =
+  let map = Shard.Map.make_exn ~keys:4 ~fleet:4 ~cfg:cfg4 () in
   let c =
-    Net.Cluster.start ~metrics:true
+    Net.Cluster.start ~metrics:true ~map
       ~opts:{ Net.Client.deadline = 0.5; retries = 8; backoff = 0.01 }
       ~protocol:(Net.Protocols.regular_gc ~readers:1)
       ~cfg:cfg4 ~readers:1 ()
@@ -161,7 +164,6 @@ let crash_mid_coalesced_run () =
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let map = Shard.Map.make_exn ~keys:4 ~fleet:4 ~cfg:cfg4 () in
       let wgen =
         Workload.Keyspace.make_exn ~skew:1.2 ~write_ratio:0.1 ~keys:4 ~seed:7
           ()
@@ -177,7 +179,9 @@ let crash_mid_coalesced_run () =
             Net.Cluster.crash c 3)
           ()
       in
-      let results = Net.Cluster.run ~inflight:32 ~coalesce:16 ~map c kops in
+      let results =
+        (Net.Cluster.run ~inflight:32 ~coalesce:16 c [| kops |]).(0).results
+      in
       Thread.join killer;
       let failures =
         Array.to_list results

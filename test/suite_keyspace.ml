@@ -253,19 +253,21 @@ let ok_exn what = function
    sampled key's history passes the single-register checkers, and no
    base object is ever stepped outside its owning domain. *)
 let keyed_cluster_histories_check () =
+  let map = Shard.Map.make_exn ~keys:8 ~fleet:3 ~cfg:cfg3 () in
   let c =
-    Net.Cluster.start ~metrics:true ~protocol:Net.Protocols.safe ~cfg:cfg3
-      ~readers:1 ()
+    Net.Cluster.start ~metrics:true ~map ~protocol:Net.Protocols.safe
+      ~cfg:cfg3 ~readers:1 ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
     (fun () ->
-      let map = Shard.Map.make_exn ~keys:8 ~fleet:3 ~cfg:cfg3 () in
       let gen =
         Workload.Keyspace.make_exn ~skew:0.5 ~write_ratio:0.3 ~keys:8 ~seed:11
           ()
       in
-      let results = Net.Cluster.run c ~map (Workload.Keyspace.ops gen 120) in
+      let results =
+        (Net.Cluster.run c [| Workload.Keyspace.ops gen 120 |]).(0).results
+      in
       Array.iteri
         (fun i r -> ignore (ok_exn (Printf.sprintf "keyed op %d" i) r))
         results;
@@ -310,8 +312,10 @@ let keyed_cluster_histories_check () =
    serial [Cluster.write] and keyed reads of key 0 record into the same
    key-0 history, and that history checks out. *)
 let key_zero_is_the_legacy_register () =
+  let map = Shard.Map.make_exn ~keys:4 ~fleet:3 ~cfg:cfg3 () in
   let c =
-    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg3 ~readers:1 ()
+    Net.Cluster.start ~map ~protocol:Net.Protocols.safe ~cfg:cfg3 ~readers:1
+      ()
   in
   Fun.protect
     ~finally:(fun () -> Net.Cluster.stop c)
@@ -319,8 +323,8 @@ let key_zero_is_the_legacy_register () =
       let _ =
         ok_exn "serial write" (Net.Cluster.write c (Core.Value.v "legacy"))
       in
-      let map = Shard.Map.make_exn ~keys:4 ~fleet:3 ~cfg:cfg3 () in
-      Net.Cluster.run c ~map (Array.make 5 (Net.Client.Read { key = 0 }))
+      (Net.Cluster.run c [| Array.make 5 (Net.Client.Read { key = 0 }) |]).(0)
+        .results
       |> Array.iteri (fun i r ->
              let o = ok_exn (Printf.sprintf "keyed read %d of key 0" i) r in
              Alcotest.(check (option string))
@@ -337,6 +341,88 @@ let key_zero_is_the_legacy_register () =
       | hs ->
           Alcotest.failf "expected key 0's history alone, got keys [%s]"
             (String.concat "; " (List.map (fun (k, _) -> string_of_int k) hs)))
+
+(* The E19 shape: two keyed client domains over a fleet of 4 > S = 3,
+   the map given to [start].  Write ownership is split by the placement
+   mixer and client 0 records only the keys it owns, so each recorded
+   history holds every write of its key.  Both clients touch the same
+   keys, which the cluster counts once. *)
+let two_keyed_clients_on_a_wider_fleet () =
+  let keys = 8 in
+  let map = Shard.Map.make_exn ~keys ~fleet:4 ~cfg:cfg3 () in
+  let owner k = Shard.Map.mix k mod 2 in
+  let c =
+    Net.Cluster.start ~metrics:true ~domains:2 ~map
+      ~sample:(fun k -> owner k = 0)
+      ~protocol:(Net.Protocols.regular_gc ~readers:2)
+      ~cfg:cfg3 ~readers:0 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let ops c =
+        Workload.Keyspace.ops
+          (Workload.Keyspace.make_exn ~write_ratio:0.2
+             ~write_filter:(fun k -> owner k = c)
+             ~keys ~seed:(5 + c) ())
+          150
+      in
+      let passes = Net.Cluster.run c ~inflight:8 [| ops 0; ops 1 |] in
+      Array.iteri
+        (fun k (p : Net.Cluster.pass) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "client %d wall > 0" k)
+            true (p.wall_s > 0.);
+          Array.iteri
+            (fun i r -> ignore (ok_exn (Printf.sprintf "client %d op %d" k i) r))
+            p.results)
+        passes;
+      Alcotest.(check int) "distinct keys touched" keys
+        (Net.Cluster.keys_touched c);
+      let histories = Net.Cluster.histories c in
+      Alcotest.(check bool) "recorded client 0's keys" true (histories <> []);
+      List.iter
+        (fun (key, h) ->
+          Alcotest.(check int) (Printf.sprintf "key %d is client 0's" key) 0
+            (owner key);
+          Alcotest.(check bool)
+            (Printf.sprintf "key %d history is safe" key)
+            true
+            (Histories.Checks.is_safe ~equal:String.equal h);
+          Alcotest.(check bool)
+            (Printf.sprintf "key %d history is regular" key)
+            true
+            (Histories.Checks.is_regular ~equal:String.equal h))
+        histories;
+      Alcotest.(check int) "no partition violations" 0
+        (Net.Cluster.partition_violations c))
+
+(* An op outside the map in any client's array is rejected before any
+   engine starts: no domain is left spinning on the barrier, and client
+   0's valid ops never ran. *)
+let out_of_map_op_rejected_up_front () =
+  let map = Shard.Map.make_exn ~keys:4 ~fleet:3 ~cfg:cfg3 () in
+  let c =
+    Net.Cluster.start ~map ~protocol:Net.Protocols.safe ~cfg:cfg3 ~readers:0
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let reads = Array.init 4 (fun key -> Net.Client.Read { key }) in
+      (match
+         Net.Cluster.run c [| reads; [| Net.Client.Read { key = 4 } |] |]
+       with
+      | _ -> Alcotest.fail "a key outside the map was accepted"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "nothing recorded" 0
+        (List.length (Net.Cluster.histories c));
+      Alcotest.(check int) "no key materialized" 0
+        (Net.Cluster.keys_touched c);
+      (* the cluster still runs both clients afterwards *)
+      Net.Cluster.run c [| reads; reads |]
+      |> Array.iter (fun (p : Net.Cluster.pass) ->
+             Array.iter (fun r -> ignore (ok_exn "read" r)) p.results))
 
 (* A failed run leaves nothing behind for the client's next run to
    complete against its own results.  A key outside the map raises
@@ -434,4 +520,8 @@ let suite =
         key_zero_is_the_legacy_register;
       Alcotest.test_case "a failed run leaves nothing behind" `Quick
         failed_run_leaves_nothing_behind;
+      Alcotest.test_case "two keyed client domains on a fleet wider than S"
+        `Quick two_keyed_clients_on_a_wider_fleet;
+      Alcotest.test_case "an out-of-map op is rejected before any domain"
+        `Quick out_of_map_op_rejected_up_front;
     ] )

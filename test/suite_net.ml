@@ -22,6 +22,9 @@ let ok_exn what = function
 (* [n] reads of the single register, for [Net.Cluster.run]. *)
 let reads n = Array.make n (Net.Client.Read { key = 0 })
 
+(* One client's results from [Net.Cluster.run]. *)
+let run1 ?inflight c ops = (Net.Cluster.run ?inflight c [| ops |]).(0).results
+
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
@@ -288,7 +291,7 @@ let pipelined_chaos_zero_failures () =
       let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "durable")) in
       let failures = ref 0 in
       let run n =
-        Net.Cluster.run c ~inflight:16 (reads n)
+        run1 c ~inflight:16 (reads n)
         |> Array.iteri (fun k -> function
              | Ok o ->
                  if value_of o <> "durable" then begin
@@ -394,7 +397,7 @@ let pipelined_matches_serial () =
           value_of (ok_exn "serial read" (Net.Cluster.read c ~reader:1)))
       in
       let piped =
-        Net.Cluster.run c ~inflight:4 (reads 20)
+        run1 c ~inflight:4 (reads 20)
         |> Array.to_list
         |> List.map (fun r -> value_of (ok_exn "pipelined read" r))
       in
@@ -416,7 +419,7 @@ let rebuilt_engine_keeps_metrics () =
         (fun inflight ->
           Array.iter
             (fun r -> ignore (ok_exn "read" r))
-            (Net.Cluster.run c ~inflight (reads 10)))
+            (run1 c ~inflight (reads 10)))
         [ 4; 8 ];
       let history = Net.Cluster.history c in
       Alcotest.(check int) "history holds every read" 20
@@ -428,6 +431,48 @@ let rebuilt_engine_keeps_metrics () =
       | Some m ->
           Alcotest.(check int) "op.read.completed counts every read" 20
             (Obs.Metrics.counter_value m "op.read.completed"))
+
+(* Two client domains on key 0 through one [Cluster.run]: every read
+   returns the seed, only client 0 records, so key 0's history is
+   exactly the seed write plus client 0's reads, and both clients time
+   their own pass. *)
+let two_clients_on_key_zero () =
+  let c =
+    Net.Cluster.start ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:0 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let _ = ok_exn "seed write" (Net.Cluster.write c (Core.Value.v "seed")) in
+      let passes = Net.Cluster.run c ~inflight:8 [| reads 60; reads 40 |] in
+      Alcotest.(check int) "one pass per client" 2 (Array.length passes);
+      Array.iteri
+        (fun k (p : Net.Cluster.pass) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "client %d wall > 0" k)
+            true (p.wall_s > 0.);
+          Array.iter
+            (fun r ->
+              Alcotest.(check string)
+                (Printf.sprintf "client %d reads the seed" k)
+                "seed"
+                (value_of (ok_exn "read" r)))
+            p.results)
+        passes;
+      Alcotest.(check (list int)) "results per client" [ 60; 40 ]
+        (Array.to_list
+           (Array.map (fun (p : Net.Cluster.pass) -> Array.length p.results)
+              passes));
+      let h = Net.Cluster.history c in
+      Alcotest.(check int) "the seed write" 1
+        (List.length (List.filter Histories.Op.is_write h));
+      Alcotest.(check int) "client 0's reads and no others" 60
+        (List.length (List.filter Histories.Op.is_read h));
+      Alcotest.(check bool) "history safe" true
+        (Histories.Checks.is_safe ~equal:String.equal h);
+      Alcotest.(check bool) "history regular" true
+        (Histories.Checks.is_regular ~equal:String.equal h);
+      Alcotest.(check int) "one key touched" 1 (Net.Cluster.keys_touched c))
 
 (* ----- poll event-loop server mode ---------------------------------------- *)
 
@@ -451,7 +496,7 @@ let poll_loop_cluster () =
       Alcotest.(check (list int)) "all back" [ 1; 2; 3; 4 ]
         (Net.Cluster.alive c);
       let failures = ref 0 in
-      Net.Cluster.run c ~inflight:8 (reads 200)
+      run1 c ~inflight:8 (reads 200)
       |> Array.iter (function
            | Ok o -> if value_of o <> "poll" then incr failures
            | Error _ -> incr failures);
@@ -535,6 +580,8 @@ let suite =
         pipelined_matches_serial;
       Alcotest.test_case "a rebuilt engine's metrics and spans still count"
         `Quick rebuilt_engine_keeps_metrics;
+      Alcotest.test_case "two client domains on key 0" `Quick
+        two_clients_on_key_zero;
       Alcotest.test_case "poll event-loop server mode" `Quick poll_loop_cluster;
       Alcotest.test_case "fleet release removes its sockets and directory"
         `Quick fleet_release_removes_sockets;
