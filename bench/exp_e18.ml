@@ -11,7 +11,9 @@
    Load comes from E18_CLIENTS in-process client domains, each driving
    its own pipelined mux (disjoint reader-id ranges, E18_INFLIGHT ops in
    flight) against the shared group, all through one Net.Cluster.run
-   that starts them on one barrier.  For each domain count:
+   that starts them on one barrier.  Only the servers keep metrics
+   registries: E18 reads no client metric, and observing the clients
+   would cost rate.  For each domain count:
 
    1. throughput: total ops/s across client domains (the cell's wall is
       the slowest domain's) and per-op latency p50/p99;
@@ -20,9 +22,10 @@
       and must pass the safety and regularity checkers (the sampled
       subset -- recording every domain would serialize them on the
       recorder lock and distort the measurement);
-   3. wire efficiency: the merged server and client registries must
-      show wire.batch_size p50 > 1 (scale-out must not destroy frame
-      coalescing on either side of the wire);
+   3. wire efficiency: the servers' registries must show
+      wire.batch_size p50 > 1 (scale-out must not destroy the sharded
+      servers' frame coalescing; the clients' flushes are left out, so
+      they cannot carry the verdict);
    4. partitioning: Server.partition_violations must stay 0 (no base
       object stepped outside its owning domain).
 
@@ -100,8 +103,9 @@ let run () =
               (List.fold_left
                  (fun acc (_, h) -> acc + List.length h)
                  0 c.histories);
-            (* servers' and clients' flushes alike *)
-            match Obs.Metrics.find_histogram c.metrics "wire.batch_size" with
+            match
+              Obs.Metrics.find_histogram c.server_metrics "wire.batch_size"
+            with
             | Some h when Obs.Metrics.Histogram.count h > 0 ->
                 let p50 = Obs.Metrics.Histogram.quantile h 50. in
                 if p50 <= 1. then batch_ok_all := false;

@@ -40,6 +40,7 @@ type cell = {
   partition : int;
   keys_touched : int;
   metrics : Obs.Metrics.t;  (* servers' and clients' registries merged *)
+  server_metrics : Obs.Metrics.t;  (* the servers' registries alone *)
 }
 
 let cores = Domain.recommended_domain_count ()
@@ -49,10 +50,15 @@ let cores = Domain.recommended_domain_count ()
    warmup ops and each trial's ops, run [inflight] deep with reads
    coalesced up to [coalesce].  With [seed], the cluster's writer first
    writes it (recorded) and every read must return it.  [sample] picks
-   the recorded keys ({!Net.Cluster.start}). *)
+   the recorded keys ({!Net.Cluster.start}).  A cell reads no span, and
+   only a keyed cell reads client metrics (per-shard and coalescing
+   counters), so a single-register cell's clients keep none: observing
+   them costs rate. *)
 let run_cell st ~label ?seed ?sample ?map ~inflight ~coalesce ~warm ~draw () =
   let cluster =
-    Net.Cluster.start ~metrics:true ~transport:st.transport
+    Net.Cluster.start ~metrics:true
+      ~observe_clients:(if map = None then `Off else `Metrics)
+      ~transport:st.transport
       ~domains:st.domains ?sample ?map ~protocol:st.protocol ~cfg:st.cfg
       ~readers:0 ()
   in
@@ -134,6 +140,7 @@ let run_cell st ~label ?seed ?sample ?map ~inflight ~coalesce ~warm ~draw () =
     partition = Net.Cluster.partition_violations cluster;
     keys_touched = Net.Cluster.keys_touched cluster;
     metrics = Option.get (Net.Cluster.metrics cluster);
+    server_metrics = Option.get (Net.Cluster.server_metrics cluster);
   }
 
 (* E19's and E20's fleet, from the knobs <name>_CLIENTS (2), _FLEET (4),

@@ -1419,6 +1419,13 @@ let load_cmd =
     end;
     let cfg = config ~s ~t ~b () in
     let s = cfg.Quorum.Config.s in
+    (* Client domains share the runtime's 128 with the main domain and
+       the server group's workers and acceptor. *)
+    if clients > 1 && clients + max 1 (min domains s) + 2 > 128 then begin
+      Format.eprintf "robustread: --clients %d: past the runtime's 128 \
+                      domains@." clients;
+      exit 2
+    end;
     (* The registers are SWMR, so in keyspace mode write ownership is
        partitioned with the placement mixer: client c only writes keys
        where mix(key) mod K = c; its other write draws become reads
@@ -1430,11 +1437,14 @@ let load_cmd =
       if keys > 0 then Some (Shard.Map.make_exn ~keys ~fleet:s ~cfg ())
       else None
     in
-    (* As for [cluster]: components keep registries (and clients spans)
-       only when --metrics or --artifacts asks for them. *)
+    (* Components keep registries only when --metrics or --artifacts
+       asks for them, and clients keep spans only for --artifacts'
+       spans.jsonl: a long run's spans would otherwise pile up in the
+       heap the server domains share. *)
     let cluster =
       Net.Cluster.start
         ~metrics:(metrics || artifacts <> None)
+        ~observe_clients:(if artifacts <> None then `Spans else `Metrics)
         ~opts:copts ~transport ~domains ?map
         ~sample:(fun k -> k < 256 && owner k = 0)
         ~protocol ~cfg ~readers:0 ()
@@ -1475,11 +1485,15 @@ let load_cmd =
     in
     let work = Array.init clients client_ops in
     let t0 = Unix.gettimeofday () in
-    let passes =
-      Net.Cluster.run ~inflight ~coalesce:(max 1 coalesce) cluster work
+    let passes, wall =
+      Fun.protect
+        ~finally:(fun () -> Net.Cluster.stop cluster)
+        (fun () ->
+          let passes =
+            Net.Cluster.run ~inflight ~coalesce:(max 1 coalesce) cluster work
+          in
+          (passes, Unix.gettimeofday () -. t0))
     in
-    let wall = Unix.gettimeofday () -. t0 in
-    Net.Cluster.stop cluster;
     let failed = ref 0 and reads = ref 0 in
     Array.iteri
       (fun c (p : Net.Cluster.pass) ->

@@ -9,14 +9,17 @@ type 'v open_op = { invoked_at : int; invoked_stamp : int; pending : 'v pending 
 (* Open-op and busy-reader bookkeeping is hashed, not kept in assoc
    lists: the pipelined runtime records an invoke/respond pair per
    operation with up to the whole window open at once, so per-event cost
-   must stay O(1) in the window size. *)
+   must stay O(1) in the window size, and the tables are int-keyed, so no
+   event pays for the polymorphic hash and compare. *)
+module Ints = Hashtbl.Make (Int)
+
 type 'v t = {
   mutable next_id : int;
   mutable next_stamp : int;
   mutable writes_so_far : int;
   mutable writer_busy : bool;
-  busy_readers : (int, unit) Hashtbl.t;
-  open_ops : (int, 'v open_op) Hashtbl.t;
+  busy_readers : unit Ints.t;
+  open_ops : 'v open_op Ints.t;
   mutable finished : 'v Op.t list;  (* reverse response order *)
 }
 
@@ -26,8 +29,8 @@ let create () =
     next_stamp = 0;
     writes_so_far = 0;
     writer_busy = false;
-    busy_readers = Hashtbl.create 16;
-    open_ops = Hashtbl.create 64;
+    busy_readers = Ints.create 16;
+    open_ops = Ints.create 64;
     finished = [];
   }
 
@@ -40,7 +43,7 @@ let invoke t ~time pending =
   let id = t.next_id in
   t.next_id <- id + 1;
   let entry = { invoked_at = time; invoked_stamp = fresh_stamp t; pending } in
-  Hashtbl.replace t.open_ops id entry;
+  Ints.replace t.open_ops id entry;
   id
 
 let invoke_write t ~time value =
@@ -51,13 +54,13 @@ let invoke_write t ~time value =
   invoke t ~time (Pending_write { index = t.writes_so_far; value })
 
 let invoke_read t ~time ~reader =
-  if Hashtbl.mem t.busy_readers reader then
+  if Ints.mem t.busy_readers reader then
     invalid_arg "Recorder.invoke_read: reader already has an operation in progress";
-  Hashtbl.replace t.busy_readers reader ();
+  Ints.replace t.busy_readers reader ();
   invoke t ~time (Pending_read { reader })
 
 let close t handle entry ~time action =
-  Hashtbl.remove t.open_ops handle;
+  Ints.remove t.open_ops handle;
   let stamp = fresh_stamp t in
   let op =
     {
@@ -72,7 +75,7 @@ let close t handle entry ~time action =
   t.finished <- op :: t.finished
 
 let respond_write t handle ~time =
-  match Hashtbl.find_opt t.open_ops handle with
+  match Ints.find_opt t.open_ops handle with
   | Some ({ pending = Pending_write { index; value }; _ } as entry) ->
       t.writer_busy <- false;
       close t handle entry ~time (Op.Write { index; value })
@@ -82,9 +85,9 @@ let respond_write t handle ~time =
       invalid_arg "Recorder.respond_write: unknown or already-closed operation"
 
 let respond_read t handle ~time result =
-  match Hashtbl.find_opt t.open_ops handle with
+  match Ints.find_opt t.open_ops handle with
   | Some ({ pending = Pending_read { reader }; _ } as entry) ->
-      Hashtbl.remove t.busy_readers reader;
+      Ints.remove t.busy_readers reader;
       close t handle entry ~time (Op.Read { reader; result = Some result })
   | Some { pending = Pending_write _; _ } ->
       invalid_arg "Recorder.respond_read: handle belongs to a write"
@@ -93,7 +96,7 @@ let respond_read t handle ~time result =
 
 let ops t =
   let open_as_ops =
-    Hashtbl.fold
+    Ints.fold
       (fun id { invoked_at; invoked_stamp; pending } acc ->
         let action =
           match pending with

@@ -176,10 +176,10 @@ let op_meters reg kind =
     contacted = histogram reg (name "contacted") Obs.Metrics.count_bounds;
   }
 
-let make_obs reg ~shards =
+let make_obs reg ~spans ~shards =
   {
     reg;
-    collector = Obs.Span.collector ();
+    collector = Obs.Span.collector ~keep:spans ();
     sent = Obs.Wire.counters reg ~stage:"sent";
     delivered = Obs.Wire.counters reg ~stage:"delivered";
     frame_bytes =
@@ -326,14 +326,16 @@ type ('m, 'r, 'w) kreg = {
 type t = {
   run :
     ?on_event:(event -> unit) -> kop array -> (outcome, string) result array;
+  check_ : kop -> unit;
   spans_ : unit -> Obs.Span.t list;
   connected_ : unit -> int list;
   touched_ : unit -> int list;
   close_ : unit -> unit;
 }
 
-let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
-    ~map ~window ~first_reader ~readers ~writes endpoints =
+let make ?metrics ?(spans = true) ?(opts = default_opts) ?now_us
+    ?(coalesce = 1) ~protocol ~map ~window ~first_reader ~readers ~writes
+    endpoints =
   let (Protocols.Packed { proto = (module P); codec }) = protocol in
   let cap = max 1 coalesce in
   let cfg = Shard.Map.cfg map in
@@ -347,7 +349,7 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
         fun () -> int_of_float ((now_f () -. t0) *. 1e6)
   in
   let obs =
-    Option.map (make_obs ~shards:(Shard.Map.shards map)) metrics
+    Option.map (make_obs ~spans ~shards:(Shard.Map.shards map)) metrics
   in
   (* Rare events (connects, drops, retransmits, timeouts) count by
      name; everything per message or per op goes through [obs]. *)
@@ -1080,6 +1082,7 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
   in
   {
     run;
+    check_ = check;
     spans_ =
       (fun () ->
         match obs with None -> [] | Some o -> Obs.Span.spans o.collector);
@@ -1089,6 +1092,8 @@ let make ?metrics ?(opts = default_opts) ?now_us ?(coalesce = 1) ~protocol
   }
 
 let run_ops ?on_event t ops = t.run ?on_event ops
+
+let check_op t op = t.check_ op
 
 let spans t = t.spans_ ()
 
@@ -1112,7 +1117,7 @@ let register_map ~who ~cfg endpoints =
          s);
   Shard.Map.make_exn ~shards:1 ~keys:1 ~fleet:s ~cfg ()
 
-let connect ?metrics ?opts ?now_us ~protocol ~cfg ~role endpoints =
+let connect ?metrics ?spans ?opts ?now_us ~protocol ~cfg ~role endpoints =
   let map = register_map ~who:"Client.connect" ~cfg endpoints in
   let first_reader, readers, writes =
     match role with
@@ -1120,8 +1125,8 @@ let connect ?metrics ?opts ?now_us ~protocol ~cfg ~role endpoints =
     | `Reader j when j >= 1 -> (j, 1, false)
     | `Reader j -> invalid_arg (Printf.sprintf "Client.connect: reader %d" j)
   in
-  make ?metrics ?opts ?now_us ~protocol ~map ~window:1 ~first_reader ~readers
-    ~writes endpoints
+  make ?metrics ?spans ?opts ?now_us ~protocol ~map ~window:1 ~first_reader
+    ~readers ~writes endpoints
 
 let read_key0 = Read { key = 0 }
 
@@ -1134,7 +1139,7 @@ module Mux = struct
 
   type nonrec t = t
 
-  let connect ?metrics ?opts ?now_us ?max_inflight ?(first_reader = 1)
+  let connect ?metrics ?spans ?opts ?now_us ?max_inflight ?(first_reader = 1)
       ?coalesce ~protocol ~cfg ~readers endpoints =
     let map = register_map ~who:"Mux.connect" ~cfg endpoints in
     if readers < 1 then
@@ -1145,8 +1150,8 @@ module Mux = struct
     let window =
       match max_inflight with None -> readers | Some w -> max 1 (min w readers)
     in
-    make ?metrics ?opts ?now_us ?coalesce ~protocol ~map ~window ~first_reader
-      ~readers ~writes:false endpoints
+    make ?metrics ?spans ?opts ?now_us ?coalesce ~protocol ~map ~window
+      ~first_reader ~readers ~writes:false endpoints
 
   let run_reads ?on_event t n =
     if n < 0 then invalid_arg "Mux.run_reads: negative op count";
@@ -1164,7 +1169,7 @@ module Keyed = struct
 
   type nonrec t = t
 
-  let connect ?metrics ?opts ?now_us ?(max_inflight = 16) ?(reader = 1)
+  let connect ?metrics ?spans ?opts ?now_us ?(max_inflight = 16) ?(reader = 1)
       ?coalesce ~protocol ~map endpoints =
     let fleet = Shard.Map.fleet map in
     if Array.length endpoints <> fleet then
@@ -1173,7 +1178,7 @@ module Keyed = struct
            (Array.length endpoints) fleet);
     if reader < 1 then
       invalid_arg (Printf.sprintf "Keyed.connect: reader = %d" reader);
-    make ?metrics ?opts ?now_us ?coalesce ~protocol ~map
+    make ?metrics ?spans ?opts ?now_us ?coalesce ~protocol ~map
       ~window:(max 1 max_inflight) ~first_reader:reader ~readers:1 ~writes:true
       endpoints
 

@@ -27,10 +27,13 @@
       exporters unchanged.  Completed reads additionally bump
       [op.fast_reads] (reported rounds <= 1: the §5.1 one-round fast
       path) or [op.fallback_rounds] (>= 2 rounds), so traces
-      distinguish the paths without parsing spans.  The rule is one
-      switch: a registry means spans and metrics, no registry means
-      neither — an unobserved client keeps no per-operation state once
-      an operation completes, and its outcomes' [latency_us] stay exact.
+      distinguish the paths without parsing spans.  A registry means
+      metrics and spans, no registry means neither — an unobserved
+      client keeps no per-operation state once an operation completes,
+      and its outcomes' [latency_us] stay exact.  Every [connect] also
+      takes [?spans] (default [true]): [~spans:false] keeps the metrics
+      but forgets each span once its operation completes, so a long
+      observed run does not accumulate them and {!spans} is [[]].
       Observed hot-path metrics are handles resolved on first use, so
       no metric name is built per message or per operation;
     - {b cache resync} — re-establishing a connection that was up before
@@ -124,12 +127,16 @@ val run_ops :
     outside the client's map, or its role is one the client does not
     play (a write on a reader client, a read on the writer). *)
 
+val check_op : t -> kop -> unit
+(** The validation {!run_ops} applies to every op before it sends
+    anything.
+    @raise Invalid_argument exactly where {!run_ops} would. *)
+
 val spans : t -> Obs.Span.t list
 (** With [metrics]: one span per operation (joined reads included),
     invocation order; failed operations stay open — exactly the
-    simulator's convention.  A client built without [metrics] keeps no
-    spans and returns [[]]: a registry means spans plus metrics, no
-    registry means neither. *)
+    simulator's convention.  A client built without [metrics], or with
+    [~spans:false], keeps no spans and returns [[]]. *)
 
 val connected : t -> int list
 (** Object indices (fleet slot + 1) with an established connection. *)
@@ -146,6 +153,7 @@ val close : t -> unit
 
 val connect :
   ?metrics:Obs.Metrics.t ->
+  ?spans:bool ->
   ?opts:opts ->
   ?now_us:(unit -> int) ->
   protocol:Protocols.t ->
@@ -204,6 +212,7 @@ module Mux : sig
 
   val connect :
     ?metrics:Obs.Metrics.t ->
+    ?spans:bool ->
     ?opts:opts ->
     ?now_us:(unit -> int) ->
     ?max_inflight:int ->
@@ -290,6 +299,7 @@ module Keyed : sig
 
   val connect :
     ?metrics:Obs.Metrics.t ->
+    ?spans:bool ->
     ?opts:opts ->
     ?now_us:(unit -> int) ->
     ?max_inflight:int ->

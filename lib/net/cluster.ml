@@ -38,14 +38,19 @@ type t = {
   now_us : unit -> int;
   fleet : Endpoint.fleet;
   with_metrics : bool;
+  observe : [ `Spans | `Metrics | `Off ];  (* the clients' *)
 }
 
-let engine ~with_metrics connect =
-  let registry = if with_metrics then Some (Obs.Metrics.create ()) else None in
-  { client = connect registry; registry }
+let engine ~observe connect =
+  let registry =
+    if observe = `Off then None else Some (Obs.Metrics.create ())
+  in
+  { client = connect ~spans:(observe = `Spans) registry; registry }
 
-let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
-    ?(interpose = false) ?sample ?map ~protocol ~cfg ~readers () =
+let start ?(metrics = false) ?(observe_clients = `Spans) ?opts
+    ?(transport = `Unix) ?(domains = 1) ?(interpose = false) ?sample ?map
+    ~protocol ~cfg ~readers () =
+  let observe = if metrics then observe_clients else `Off in
   let s = cfg.Quorum.Config.s in
   let n =
     match map with
@@ -90,8 +95,8 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
   (* Key 0's shard is the first S slots under every map, so the serial
      clients keep the single register's objects. *)
   let slot role =
-    engine ~with_metrics:metrics (fun metrics ->
-        Client.connect ?metrics ?opts ~now_us ~protocol ~cfg ~role
+    engine ~observe (fun ~spans metrics ->
+        Client.connect ?metrics ~spans ?opts ~now_us ~protocol ~cfg ~role
           (Array.sub endpoints 0 s))
   in
   {
@@ -112,6 +117,7 @@ let start ?(metrics = false) ?opts ?(transport = `Unix) ?(domains = 1)
     now_us;
     fleet;
     with_metrics = metrics;
+    observe;
   }
 
 let drive e record ops =
@@ -129,17 +135,18 @@ let read t ~reader =
    key-0 readers for the single register, a keyed client otherwise. *)
 let connect_engine t ~inflight ~coalesce =
   let first = t.next_rid in
-  engine ~with_metrics:t.with_metrics (fun metrics ->
+  engine ~observe:t.observe (fun ~spans metrics ->
       match t.map with
       | None ->
           t.next_rid <- first + inflight;
-          Client.Mux.connect ?metrics ?opts:t.copts ~now_us:t.now_us
-            ~max_inflight:inflight ~first_reader:first ~coalesce
-            ~protocol:t.protocol ~cfg:t.cfg ~readers:inflight t.endpoints
+          Client.Mux.connect ?metrics ~spans ?opts:t.copts
+            ~now_us:t.now_us ~max_inflight:inflight ~first_reader:first
+            ~coalesce ~protocol:t.protocol ~cfg:t.cfg ~readers:inflight
+            t.endpoints
       | Some map ->
           t.next_rid <- first + 1;
-          Client.Keyed.connect ?metrics ?opts:t.copts ~now_us:t.now_us
-            ~max_inflight:inflight ~reader:first ~coalesce
+          Client.Keyed.connect ?metrics ~spans ?opts:t.copts
+            ~now_us:t.now_us ~max_inflight:inflight ~reader:first ~coalesce
             ~protocol:t.protocol ~map t.endpoints)
 
 (* The cached engines are reused while their parameters and count hold;
@@ -159,29 +166,16 @@ let engines_for t ~inflight ~coalesce ~clients =
       t.built <- List.rev_append (Array.to_list engines) t.built;
       engines
 
-(* What the engines would reject, rejected before any of them starts:
-   a key outside the cluster's keyspace, or a write on the key-0 read
-   pool. *)
-let check_ops t ops =
-  let keys = match t.map with None -> 1 | Some m -> Shard.Map.keys m in
-  Array.iter
-    (fun (op : Client.kop) ->
-      match op with
-      | Read { key } | Write { key; _ } when key < 0 || key >= keys ->
-          invalid_arg
-            (Printf.sprintf "Cluster.run: key %d outside [0,%d)" key keys)
-      | Write _ when t.map = None ->
-          invalid_arg "Cluster.run: a write without a keyspace map"
-      | Read _ | Write _ -> ())
-    ops
-
 let run ?(inflight = 16) ?(coalesce = 1) t clients =
   let k = Array.length clients in
   if inflight < 1 then
     invalid_arg (Printf.sprintf "Cluster.run: inflight %d" inflight);
   if k < 1 then invalid_arg "Cluster.run: no clients";
-  Array.iter (check_ops t) clients;
   let engines = engines_for t ~inflight ~coalesce ~clients:k in
+  (* What an engine would reject, rejected before any of them runs. *)
+  Array.iteri
+    (fun c ops -> Array.iter (Client.check_op engines.(c).client) ops)
+    clients;
   (* Only client 0 records: taps of one record serialize on its lock. *)
   let on_event = Record.tap t.record clients.(0) in
   let pass c =
@@ -280,15 +274,21 @@ let keys_touched t =
 
 let spans t = List.concat_map (fun e -> Client.spans e.client) (engines t)
 
-let metrics t =
+let merged t registries =
   if not t.with_metrics then None
   else begin
     let dst = Obs.Metrics.create () in
-    let merge = Option.iter (fun src -> Obs.Metrics.merge_into ~dst src) in
-    Array.iter merge t.server_registries;
-    List.iter (fun e -> merge e.registry) (engines t);
+    List.iter (Option.iter (fun src -> Obs.Metrics.merge_into ~dst src))
+      registries;
     Some dst
   end
+
+let server_metrics t = merged t (Array.to_list t.server_registries)
+
+let metrics t =
+  merged t
+    (Array.to_list t.server_registries
+    @ List.map (fun e -> e.registry) (engines t))
 
 let stop t =
   (* rebuilt engines were closed when they were replaced *)

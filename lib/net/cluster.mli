@@ -30,6 +30,7 @@ type t
 
 val start :
   ?metrics:bool ->
+  ?observe_clients:[ `Spans | `Metrics | `Off ] ->
   ?opts:Client.opts ->
   ?transport:[ `Unix | `Tcp ] ->
   ?domains:int ->
@@ -52,10 +53,13 @@ val start :
     [interpose:true], a {!Chaos} proxy fronts every server and clients
     dial the proxies — {!chaos} exposes them for rule injection; with no
     rules set the interposers are transparent.  With [metrics:true]
-    every component keeps a private registry; {!metrics} merges them
-    and {!spans} returns the clients' spans.  Without it no client keeps
-    per-operation spans; the record keeps every operation either way,
-    on the keys satisfying [sample] (default: every key).
+    every server keeps a private registry, and each client what
+    [observe_clients] says: a registry and every op's span ([`Spans],
+    the default), a registry alone ([`Metrics], for long runs that read
+    no span), or nothing ([`Off]).  {!metrics} merges the registries and
+    {!spans} returns the clients' spans.  Without [metrics] nothing is
+    observed; the record keeps every operation either way, on the keys
+    satisfying [sample] (default: every key).
     @raise Invalid_argument if the map's configuration is not [cfg]. *)
 
 val write : t -> Core.Value.t -> (Client.outcome, string) result
@@ -99,9 +103,10 @@ val run :
     ids, since they overlap their lead.  Changing [inflight],
     [coalesce] or the client count rebuilds the engines; the old ones
     still count in {!keys_touched}, {!spans} and {!metrics}.
-    @raise Invalid_argument before any engine starts if [inflight < 1],
-    [clients] is empty, or an op is one the engines cannot run (a key
-    outside the keyspace, a write on the single register). *)
+    @raise Invalid_argument before any engine runs an op if
+    [inflight < 1], [clients] is empty, or an op is one its engine
+    rejects ({!Client.check_op}: a key outside the keyspace, a write on
+    the single register). *)
 
 val keys_touched : t -> int
 (** Distinct keys with materialized automata in any of the cluster's
@@ -153,12 +158,16 @@ val histories : t -> (int * string Histories.Op.t list) list
 val spans : t -> Obs.Span.t list
 (** Writer spans, then the serial readers', then those of every {!run}
     engine, oldest first; all share one microsecond clock.  [[]] unless
-    started with [metrics:true]: clients keep spans exactly when they
-    have a registry. *)
+    started with [metrics:true] and clients observed with [`Spans]. *)
 
 val metrics : t -> Obs.Metrics.t option
 (** Merged snapshot of every component registry (servers then clients);
     [None] unless started with [metrics:true]. *)
+
+val server_metrics : t -> Obs.Metrics.t option
+(** The servers' registries alone, merged: what the server side did,
+    with no client-side flush or op in it.  [None] unless started with
+    [metrics:true]. *)
 
 val stop : t -> unit
 (** Stop servers and clients, then {!Endpoint.release} the fleet: its

@@ -1,10 +1,22 @@
+(* Every event of the recording client looks these tables up, so they
+   hash and compare without the polymorphic primitives. *)
+module Keys = Hashtbl.Make (Int)
+
+module Slots = Hashtbl.Make (struct
+  type t = int * bool * int  (* key, write, reader *)
+
+  let equal ((k, w, r) : t) (k', w', r') = k = k' && w = w' && r = r'
+
+  let hash ((k, w, r) : t) = (((k * 65599) + r) * 2) + Bool.to_int w
+end)
+
 type t = {
   sample : int -> bool;
   mutex : Mutex.t;
-  keys : (int, string Histories.Recorder.t) Hashtbl.t;
-  (* Open ops by (key, write, reader): a timed-out op stays open, and
-     the op that resumes its slot responds to the original invocation. *)
-  open_ops : (int * bool * int, Histories.Recorder.op_handle) Hashtbl.t;
+  keys : string Histories.Recorder.t Keys.t;
+  (* Open ops by slot: a timed-out op stays open, and the op that
+     resumes its slot responds to the original invocation. *)
+  open_ops : Histories.Recorder.op_handle Slots.t;
   (* Recorder reader ids for coalesced reads: the recorder allows one
      open read per reader, and joined reads overlap their lead. *)
   mutable next_jrid : int;
@@ -14,17 +26,17 @@ let create ?(sample = fun _ -> true) () =
   {
     sample;
     mutex = Mutex.create ();
-    keys = Hashtbl.create 16;
-    open_ops = Hashtbl.create 16;
+    keys = Keys.create 16;
+    open_ops = Slots.create 16;
     next_jrid = 1_000_000;
   }
 
 let recorder t key =
-  match Hashtbl.find_opt t.keys key with
+  match Keys.find_opt t.keys key with
   | Some r -> r
   | None ->
       let r = Histories.Recorder.create () in
-      Hashtbl.replace t.keys key r;
+      Keys.replace t.keys key r;
       r
 
 let result_of (o : Client.outcome) =
@@ -44,10 +56,10 @@ let record t joined ops = function
           joined.(op) <-
             Some (Histories.Recorder.invoke_read r ~time:at_us ~reader:jrid)
         end
-        else if not (Hashtbl.mem t.open_ops (key, write, reader)) then
+        else if not (Slots.mem t.open_ops (key, write, reader)) then
           (* (an open entry means a parked op is being resumed: its
              invocation stands) *)
-          Hashtbl.replace t.open_ops (key, write, reader)
+          Slots.replace t.open_ops (key, write, reader)
             (match ops.(op) with
             | Client.Write { value; _ } ->
                 Histories.Recorder.invoke_write r ~time:at_us
@@ -62,13 +74,13 @@ let record t joined ops = function
           joined.(op) <- None;
           h
         end
-        else Hashtbl.find_opt t.open_ops (key, write, reader)
+        else Slots.find_opt t.open_ops (key, write, reader)
       in
       (* a failed op stays open for the op that resumes it *)
       match (h, outcome) with
       | Some h, Ok o ->
           let r = recorder t key in
-          if not j then Hashtbl.remove t.open_ops (key, write, reader);
+          if not j then Slots.remove t.open_ops (key, write, reader);
           if write then Histories.Recorder.respond_write r h ~time:at_us
           else Histories.Recorder.respond_read r h ~time:at_us (result_of o)
       | _ -> ())
@@ -93,13 +105,13 @@ let locked t f =
 
 let history t key =
   locked t (fun () ->
-      match Hashtbl.find_opt t.keys key with
+      match Keys.find_opt t.keys key with
       | None -> []
       | Some r -> Histories.Recorder.ops r)
 
 let histories t =
   locked t (fun () ->
-      Hashtbl.fold
+      Keys.fold
         (fun key r acc -> (key, Histories.Recorder.ops r) :: acc)
         t.keys []
       |> List.sort (fun (a, _) (b, _) -> Int.compare a b))

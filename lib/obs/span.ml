@@ -24,9 +24,13 @@ let transitions s = List.rev s.rev_transitions
 
 let contacted s = List.sort_uniq Int.compare s.rev_contacted
 
-type collector = { mutable next_id : int; mutable rev_spans : t list }
+type collector = {
+  keep : bool;
+  mutable next_id : int;
+  mutable rev_spans : t list;
+}
 
-let collector () = { next_id = 0; rev_spans = [] }
+let collector ?(keep = true) () = { keep; next_id = 0; rev_spans = [] }
 
 let start c kind ~proc ~now ~trace_pos =
   let s =
@@ -47,7 +51,7 @@ let start c kind ~proc ~now ~trace_pos =
     }
   in
   c.next_id <- c.next_id + 1;
-  c.rev_spans <- s :: c.rev_spans;
+  if c.keep then c.rev_spans <- s :: c.rev_spans;
   s
 
 let transition s ~now =

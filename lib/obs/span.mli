@@ -49,7 +49,11 @@ val pp : Format.formatter -> t -> unit
 
 type collector
 
-val collector : unit -> collector
+val collector : ?keep:bool -> unit -> collector
+(** [keep] (default [true]): retain every span started, for {!spans}.
+    A collector built with [~keep:false] still hands out spans (an open
+    operation updates its own) but forgets them: {!spans} is [[]], and
+    a long run's spans do not accumulate in the heap. *)
 
 val start :
   collector -> kind -> proc:string -> now:int -> trace_pos:int -> t

@@ -432,6 +432,34 @@ let rebuilt_engine_keeps_metrics () =
           Alcotest.(check int) "op.read.completed counts every read" 20
             (Obs.Metrics.counter_value m "op.read.completed"))
 
+(* Clients observed with [`Metrics] keep every metric but no span;
+   [server_metrics] is the servers' side alone: no client op counter,
+   every server message.  Both are read after [stop], once the servers
+   have handled their last message. *)
+let metrics_without_spans () =
+  let c =
+    Net.Cluster.start ~metrics:true ~observe_clients:`Metrics
+      ~protocol:Net.Protocols.safe ~cfg:cfg4 ~readers:1 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Net.Cluster.stop c)
+    (fun () ->
+      let _ = ok_exn "write" (Net.Cluster.write c (Core.Value.v "kept")) in
+      Array.iter (fun r -> ignore (ok_exn "read" r)) (run1 c (reads 10)));
+  Alcotest.(check int) "no span kept" 0 (List.length (Net.Cluster.spans c));
+  match (Net.Cluster.metrics c, Net.Cluster.server_metrics c) with
+  | Some all, Some servers ->
+      Alcotest.(check int) "op.read.completed counts every read" 10
+        (Obs.Metrics.counter_value all "op.read.completed");
+      Alcotest.(check int) "no client op in the servers' registries" 0
+        (Obs.Metrics.counter_value servers "op.read.completed");
+      let messages m = Obs.Metrics.counter_value m "net.server.messages" in
+      Alcotest.(check bool) "the servers handled messages" true
+        (messages servers > 0);
+      Alcotest.(check int) "every server message" (messages all)
+        (messages servers)
+  | _ -> Alcotest.fail "metrics requested but absent"
+
 (* Two client domains on key 0 through one [Cluster.run]: every read
    returns the seed, only client 0 records, so key 0's history is
    exactly the seed write plus client 0's reads, and both clients time
@@ -580,6 +608,8 @@ let suite =
         pipelined_matches_serial;
       Alcotest.test_case "a rebuilt engine's metrics and spans still count"
         `Quick rebuilt_engine_keeps_metrics;
+      Alcotest.test_case "metrics without spans; the servers' metrics alone"
+        `Quick metrics_without_spans;
       Alcotest.test_case "two client domains on key 0" `Quick
         two_clients_on_key_zero;
       Alcotest.test_case "poll event-loop server mode" `Quick poll_loop_cluster;
